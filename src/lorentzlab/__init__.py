@@ -48,7 +48,7 @@ from .errors import (
     NotQuasiconcave,
 )
 from .funcs import PiecewiseFn, indicator, integrate, p_norm, pointwise_merge
-from .grid import DEFAULT_GRID, GeometricGrid, default_grid
+from .grid import DEFAULT_GRID, GeometricGrid
 from .hardy import (
     HardyProblem,
     Zeta1Fn,

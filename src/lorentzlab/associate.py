@@ -25,13 +25,10 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import mpmath
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import (
     ConfigError,
@@ -42,15 +39,24 @@ from .errors import (
 )
 from .funcs import PiecewiseFn, indicator, integrate, pointwise_merge
 from .grid import DEFAULT_GRID, GeometricGrid
-from .hardy import Zeta1Fn
+from .hardy import (
+    Zeta1Fn,
+    _gl_panels,
+    _power_tail,
+    _ratio_limit,
+    _suffix_sup,
+    _SuffixIntegral,
+)
 from .measures import DiscreteMeasure, fit_representation_measure
-from .rearrangement import DecreasingFn, cumulative_eval, decreasing_rearrangement
+from .rearrangement import DecreasingFn, _rearranged, cumulative_eval
 from .reports import EquivReport
 from .sampling import random_decreasing
 from .weights import (
     Power,
     Weight,
     WeightProfile,
+    _cumulative_at,
+    _growth_exponent,
     ess_sup_weighted,
     product_cumulative,
     weight_from_json,
@@ -270,46 +276,8 @@ def norm_spec_from_json(obj: dict) -> NormSpec:
 
 # -- shared plumbing ----------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = roots_legendre(20)
-
-
-def _gl_cell(fn: Callable, a: float, b: float) -> float:
-    if not b > a:
-        return 0.0
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return float(half * np.dot(_GL_WEIGHTS, fn(mid + half * _GL_NODES)))
-
-
-def _gl_cell_split(fn: Callable, a: float, b: float, per_decade: int = 6) -> float:
-    """Gauss-Legendre over (a, b] split geometrically so wide cells keep full
-    accuracy (a single panel loses digits across several decades)."""
-    if not b > a:
-        return 0.0
-    if a <= 0.0:
-        return _gl_cell(fn, a, b)
-    n = max(1, int(math.ceil(per_decade * math.log10(b / a))))
-    cuts = np.geomspace(a, b, n + 1)
-    return math.fsum(_gl_cell(fn, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
-
-
-def _rearranged(f) -> PiecewiseFn:
-    if isinstance(f, DecreasingFn):
-        return f.fn
-    if isinstance(f, PiecewiseFn):
-        star = decreasing_rearrangement(f)
-        return star.fn if isinstance(star, DecreasingFn) else star
-    raise ConfigError(f"expected a PiecewiseFn or DecreasingFn, got {type(f)!r}")
-
-
 def _is_zero(fstar: PiecewiseFn) -> bool:
     return fstar.right_value == 0.0 and not np.any(fstar.values > 0)
-
-
-def _mul_ext(a: float, b: float) -> float:
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return a * b
 
 
 def _prefix_norm(fstar: PiecewiseFn, p: float, psi: Weight, r: float) -> float:
@@ -386,7 +354,7 @@ def _sup_truncated_fast(
     best = float(np.max(prods)) if len(prods) else 0.0
     phi_inf = phi.limit_inf()
     if inner_inf > 0.0 and phi_inf > 0.0:
-        best = max(best, _mul_ext(phi_inf, inner_inf))
+        best = max(best, phi_inf * inner_inf)
     return best
 
 
@@ -416,7 +384,7 @@ def norm(spec: NormSpec, f, grid: GeometricGrid = DEFAULT_GRID) -> float:
     if isinstance(spec, Lpq):
         return _prefix_norm(fstar, spec.q, Power(_inv(spec.p) - _inv(spec.q)), _INF)
     if isinstance(spec, LpqStar):
-        return _star_norm(fstar, spec.p, spec.q)
+        return lpq_star_norm(spec.p, spec.q, DecreasingFn(fstar))
     if isinstance(spec, ClassicalLorentz):
         return _prefix_norm(fstar, spec.p, spec.psi, _INF)
     if isinstance(spec, GenLorentz):
@@ -497,7 +465,7 @@ def lpq_star_norm(p: float, q: float, f, grid: GeometricGrid = DEFAULT_GRID) -> 
             t = np.asarray(t, dtype=float)
             return (Fa + v * (t - a)) ** q * t ** (q / p - 1.0 - q)
 
-        total += _gl_cell_split(integrand, a, b)
+        total += _gl_panels(integrand, a, b)
     if F_inf > 0.0:
         T = float(bp[-1])
         e_tail = q / p - q  # integral of t^(e_tail - 1) beyond T
@@ -507,88 +475,20 @@ def lpq_star_norm(p: float, q: float, f, grid: GeometricGrid = DEFAULT_GRID) -> 
     return total ** (1.0 / q)
 
 
-def _star_norm(fstar: PiecewiseFn, p: float, q: float) -> float:
-    return lpq_star_norm(p, q, DecreasingFn(fstar))
-
-
 # -- closed-form associate norms ----------------------------------------------
 
 
-def _ratio_limit(
-    num_probe: Callable, den_probe: Callable, ts: np.ndarray, toward: str
-) -> float:
-    """limsup of num/den toward 0+ or infinity, from two probe points.
+def _F_ratio_sup(fstar: PiecewiseFn, profile: WeightProfile, edges: np.ndarray):
+    """Lookup t -> sup over (t, inf) of F(s)/Psi_p(s), F = cumulative f*."""
 
-    The probes sit on the approach side, so a log-log slope pointing away
-    from the limit means the ratio blows up there and pointing toward it
-    means the ratio vanishes."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.asarray(num_probe(ts), dtype=float) / np.asarray(
-            den_probe(ts), dtype=float
-        )
-    r = np.nan_to_num(r, nan=0.0)
-    if r[0] <= 0.0 and r[1] <= 0.0:
-        return 0.0
-    if not np.all(np.isfinite(r)):
-        return _INF
-    slope = math.log(r[1] / r[0]) / math.log(ts[1] / ts[0]) if min(r) > 0 else 0.0
-    growing = slope < -1e-9 if toward == "zero" else slope > 1e-9
-    shrinking = slope > 1e-9 if toward == "zero" else slope < -1e-9
-    if growing:
-        return _INF
-    if shrinking:
-        return 0.0
-    return float(max(r))
-
-
-def _F_ratio_suffix(
-    fstar: PiecewiseFn,
-    profile: WeightProfile,
-    grid: GeometricGrid,
-    extra_edges: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-cell sups and suffix table of F(s)/Psi_p(s) with F = cumulative f*.
-
-    Returns (edges, suffix, head_limit): suffix[k] is the sup over
-    (edges[k-1], inf) including the analytic tail, and head_limit is the
-    limsup as s -> 0+ (so sup over all of (t, inf) for t <= 0 is
-    max(head_limit, suffix[0]))."""
-    edges = _merged_edges(grid, fstar)
-    if extra_edges is not None and len(extra_edges):
-        inside = extra_edges[(extra_edges > 0.0) & np.isfinite(extra_edges)]
-        if len(inside):
-            edges = np.unique(np.concatenate([edges, inside]))
-
-    def ratio_at(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        F = cumulative_eval(fstar, pts)
-        den = np.asarray(profile.big(pts), dtype=float)
+    def ratio(s):
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = F / den
+            out = cumulative_eval(fstar, s) / np.asarray(profile.big(s), dtype=float)
         return np.nan_to_num(out, nan=0.0)
 
-    lefts = np.concatenate([[0.0], edges[:-1]])
-    E = ratio_at(edges)
-    M = ratio_at(0.5 * (lefts + edges))
-    head_ts = np.array([1e-9, 1e-8]) * min(1.0, float(edges[0]))
-    head_limit = _ratio_limit(
-        lambda t: cumulative_eval(fstar, t), profile.big, head_ts, "zero"
-    )
-    left_vals = np.concatenate([[head_limit], E[:-1]])
-    cell_sups = np.maximum(np.maximum(left_vals, M), E)
-    T = float(edges[-1])
-    ladder = T * 10.0 ** (np.arange(1, 17) / 4.0)
-    far = np.array([T * 1e8, T * 1e9])
-    tail_sup = max(
-        float(E[-1]),
-        float(np.max(ratio_at(ladder))),
-        _ratio_limit(lambda t: cumulative_eval(fstar, t), profile.big, far, "inf"),
-    )
-    suffix = np.empty(len(edges) + 1)
-    suffix[-1] = tail_sup
-    for k in range(len(edges) - 1, -1, -1):
-        suffix[k] = max(cell_sups[k], suffix[k + 1])
-    return edges, suffix, head_limit
+    head = _ratio_limit(ratio, np.array([1e-9, 1e-8]) * min(1.0, float(edges[0])), "zero")
+    tail = _ratio_limit(ratio, float(edges[-1]) * np.array([1e8, 1e9]), "inf")
+    return _suffix_sup(ratio, edges, head, tail)
 
 
 def assoc_classical(
@@ -607,17 +507,12 @@ def assoc_classical(
         return 0.0
     profile = WeightProfile(psi, p)
     if p <= 1.0:
-        _, suffix, head = _F_ratio_suffix(fstar, profile, grid)
-        return max(head, float(suffix[0]))
+        return _F_ratio_sup(fstar, profile, _merged_edges(grid, fstar))(0.0)
     z1 = Zeta1Fn(DecreasingFn(fstar), psi, p, grid)
-    inner = z1.inner_integral(0.0)
-    if inner == _INF:
-        return _INF
-    return inner ** (1.0 / z1.pp)
+    return z1.inner_integral(0.0) ** (1.0 / z1.pp)
 
 
 _FIT_CACHE: dict[str, tuple[DiscreteMeasure, EquivReport]] = {}
-_FIT_LOCK = threading.Lock()
 
 
 def _phi_hypotheses(phi: Weight, p: float, grid: GeometricGrid) -> tuple[bool, dict]:
@@ -637,8 +532,7 @@ def _phi_hypotheses(phi: Weight, p: float, grid: GeometricGrid) -> tuple[bool, d
 def _fit_nu_for_phi(
     phi: Weight, sig: Callable, cache_key: str, grid: GeometricGrid
 ) -> tuple[DiscreteMeasure, EquivReport]:
-    with _FIT_LOCK:
-        hit = _FIT_CACHE.get(cache_key)
+    hit = _FIT_CACHE.get(cache_key)
     if hit is not None:
         return hit
 
@@ -646,8 +540,7 @@ def _fit_nu_for_phi(
         return 1.0 / np.asarray(phi(t), dtype=float)
 
     nu, report = fit_representation_measure(target, sig, grid)
-    with _FIT_LOCK:
-        _FIT_CACHE.setdefault(cache_key, (nu, report))
+    _FIT_CACHE.setdefault(cache_key, (nu, report))
     return nu, report
 
 
@@ -719,87 +612,33 @@ def assoc_generalized(
         return AssociateResult(0.0, nu, fit_report, flags)
 
     if p <= 1.0:
-        edges, suffix, head = _F_ratio_suffix(
-            fstar, profile, grid, extra_edges=nu.locations
-        )
-
-        def sup_after(t: float) -> float:
-            if t <= 0.0:
-                return max(head, float(suffix[0]))
-            k = int(np.searchsorted(edges, t, side="right"))
-            return float(suffix[min(k, len(edges))])
-
-        total = math.fsum(
-            _mul_ext(float(m), sup_after(float(t)))
-            for t, m in zip(nu.locations, nu.masses)
-        )
-        if nu.tail is not None:
-            total += nu.tail_integral(sup_after)
+        locs = nu.locations
+        edges = np.unique(np.concatenate([_merged_edges(grid, fstar), locs[locs > 0.0]]))
+        total = nu.integrate(_F_ratio_sup(fstar, profile, edges))
         return AssociateResult(total, nu, fit_report, flags)
 
     z1 = Zeta1Fn(DecreasingFn(fstar), psi, p, grid)
     pp = z1.pp
-
+    inner = z1.inner_integral
     if inner_denominator == "psi_p":
-        inner_fn = _variant_inner(fstar, profile, pp, grid)
-    else:
-        inner_fn = z1.inner_integral
+        density = profile.density
 
-    def contrib(t: float) -> float:
-        inner = inner_fn(max(t, 0.0))
-        return inner ** (1.0 / pp) if inner != _INF else _INF
+        def integrand(s):
+            s = np.asarray(s, dtype=float)
+            F = cumulative_eval(fstar, s)
+            den = np.asarray(profile.big(s), dtype=float)
+            dv = np.asarray(density(s), dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = (F / den) ** pp * dv
+            return np.nan_to_num(out, nan=0.0)
 
-    total = math.fsum(
-        _mul_ext(float(m), contrib(float(t)))
-        for t, m in zip(nu.locations, nu.masses)
-    )
-    if nu.tail is not None:
-        total += nu.tail_integral(contrib)
+        # beyond supp f* the integrand is F_inf^{p'} psi^p / Phi^{p'/p}
+        tail = _power_tail(integrand, density, pp, 0.0, _growth_exponent(density) / p)
+        edges = _merged_edges(grid, fstar, getattr(density, "fn", None))
+        inner = _SuffixIntegral(integrand, edges, tail)
+
+    total = nu.integrate(lambda t: inner(max(t, 0.0)) ** (1.0 / pp))
     return AssociateResult(total, nu, fit_report, flags)
-
-
-def _variant_inner(
-    fstar: PiecewiseFn, profile: WeightProfile, pp: float, grid: GeometricGrid
-) -> Callable[[float], float]:
-    """integral_t^inf (F/Psi_p)^{p'} psi^p ds by split panels (comparison
-    variant; no closed tail, so it quadratures through supp f* only and uses
-    a convergence test beyond)."""
-    density = profile.density
-    supp_end = float(fstar.breakpoints[-1])
-    F_inf = float(np.dot(fstar.values, fstar.lengths))
-
-    def integrand(s):
-        s = np.asarray(s, dtype=float)
-        F = cumulative_eval(fstar, s)
-        den = np.asarray(profile.big(s), dtype=float)
-        dv = np.asarray(density(s), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (F / den) ** pp * dv
-        return np.nan_to_num(out, nan=0.0)
-
-    edges = _merged_edges(grid, fstar)
-
-    def inner(t: float) -> float:
-        t = float(t)
-        total = 0.0
-        prev = t
-        for b in edges[edges > t]:
-            total += _gl_cell_split(integrand, prev, float(b))
-            prev = float(b)
-        top = max(prev, float(edges[-1]), supp_end)
-        if F_inf > 0.0:
-            # beyond supp f*: integrand = F_inf^{p'} psi^p / Psi_p^{p'};
-            # diverges whenever Psi_p stays bounded
-            if profile.big_p_inf() == _INF:
-                tail = mpmath.quad(
-                    lambda s: float(integrand(float(s))), [top, mpmath.inf]
-                )
-                total += float(tail)
-            else:
-                return _INF
-        return total
-
-    return inner
 
 
 # -- brute-force duality oracle -----------------------------------------------
@@ -908,18 +747,6 @@ class EmbeddingResult:
         }
 
 
-def _cumulative_growth(w: Weight) -> float:
-    """Growth exponent of W(t) = integral_0^t w as t -> infinity (0 when W is
-    bounded, including weights that vanish beyond a point)."""
-    tp = w.tail_power()
-    if tp is None:
-        return 0.0
-    coef, alpha = tp
-    if coef == 0.0:
-        return 0.0
-    return alpha + 1.0 if alpha > -1.0 else 0.0
-
-
 def embedding_criterion(
     p: float,
     q: float,
@@ -970,132 +797,54 @@ def embedding_criterion(
     flags["reduced_exponent"] = P
     flags["origin_atom"] = bool(len(nu.locations) and nu.locations[0] == 0.0)
 
-    g_num = _cumulative_growth(wq)
-    g_phi = _cumulative_growth(prof.density)
+    g_num = _growth_exponent(wq)
+    g_phi = _growth_exponent(prof.density)
 
     if P <= 1.0:
-        value, tail_divergent = _embed_branch_small(nu, wq, sig, grid, g_num, g_phi * expo)
+
+        def ratio(s):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = _cumulative_at(wq, s) / np.asarray(sig(s), dtype=float)
+            return np.nan_to_num(out, nan=0.0)
+
+        edges = grid.breakpoints
+        locs = nu.locations
+        edges = np.unique(np.concatenate([edges, locs[(locs > 0.0) & (locs < edges[-1])]]))
+        head = _ratio_limit(ratio, np.array([1e-9, 1e-8]) * min(1.0, float(edges[0])), "zero")
+        diff = g_num - g_phi * expo
+        if diff > 1e-12:
+            tail = _INF
+        elif diff < -1e-12:
+            tail = 0.0
+        else:
+            tail = float(ratio(np.array([float(edges[-1]) * 1e8]))[0])
+        g = _suffix_sup(ratio, edges, head, tail)
+        tail_divergent = not math.isfinite(g(_INF))  # the sup beyond the last edge
     else:
-        value, tail_divergent = _embed_branch_large(
-            nu, wq, prof, P, grid, g_num, g_phi
-        )
+        Pp = P / (P - 1.0)
+        density = prof.density
+
+        def integrand(s):
+            s = np.asarray(s, dtype=float)
+            W = _cumulative_at(wq, s)
+            Phi = np.asarray(prof.big_p(s), dtype=float)
+            dv = np.asarray(density(s), dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = (W / Phi) ** Pp * dv
+            return np.nan_to_num(out, nan=0.0)
+
+        # integrand ~ s^(Pp*(g_num - g_phi) + a_psi) far out
+        tail = _power_tail(integrand, density, Pp, g_num, g_phi)
+        edges = _merged_edges(grid, getattr(density, "fn", None))
+        inner = _SuffixIntegral(integrand, edges, tail)
+        tail_divergent = inner.tail_end == _INF
+
+        def g(t: float) -> float:
+            return inner(max(t, 0.0)) ** (1.0 / Pp)
+
+    value = nu.integrate(g)
     flags["tail_divergent"] = tail_divergent
     return EmbeddingResult(value, math.isfinite(value), nu, fit_report, flags)
-
-
-def _embed_branch_small(
-    nu: DiscreteMeasure,
-    wq: Weight,
-    sig: Callable,
-    grid: GeometricGrid,
-    g_num: float,
-    g_den: float,
-) -> tuple[float, bool]:
-    edges = grid.breakpoints
-    locs = nu.locations
-    if len(locs):
-        inside = locs[(locs > 0.0) & (locs < edges[-1])]
-        if len(inside):
-            edges = np.unique(np.concatenate([edges, inside]))
-
-    def ratio_at(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        W = wq.cumulative_pairs(np.zeros_like(pts), pts)
-        den = np.asarray(sig(pts), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = W / den
-        return np.nan_to_num(out, nan=0.0)
-
-    lefts = np.concatenate([[0.0], edges[:-1]])
-    E = ratio_at(edges)
-    M = ratio_at(0.5 * (lefts + edges))
-    head_ts = np.array([1e-9, 1e-8]) * min(1.0, float(edges[0]))
-    head = _ratio_limit(
-        lambda t: wq.cumulative_pairs(np.zeros_like(np.asarray(t)), np.asarray(t)),
-        sig,
-        head_ts,
-        "zero",
-    )
-    left_vals = np.concatenate([[head], E[:-1]])
-    cell_sups = np.maximum(np.maximum(left_vals, M), E)
-    T = float(edges[-1])
-    diff = g_num - g_den
-    if diff > 1e-12:
-        tail_sup = _INF
-    else:
-        ladder = T * 10.0 ** (np.arange(1, 17) / 4.0)
-        tail_sup = max(float(E[-1]), float(np.max(ratio_at(ladder))))
-        if abs(diff) <= 1e-12:
-            tail_sup = max(tail_sup, float(ratio_at(np.array([T * 1e8]))[0]))
-    suffix = np.empty(len(edges) + 1)
-    suffix[-1] = tail_sup
-    for k in range(len(edges) - 1, -1, -1):
-        suffix[k] = max(cell_sups[k], suffix[k + 1])
-
-    def sup_after(t: float) -> float:
-        if t <= 0.0:
-            return max(head, float(suffix[0]))
-        k = int(np.searchsorted(edges, t, side="right"))
-        return float(suffix[min(k, len(edges))])
-
-    total = math.fsum(
-        _mul_ext(float(m), sup_after(float(t))) for t, m in zip(nu.locations, nu.masses)
-    )
-    if nu.tail is not None and total != _INF:
-        total += nu.tail_integral(sup_after)
-    return total, not math.isfinite(tail_sup)
-
-
-def _embed_branch_large(
-    nu: DiscreteMeasure,
-    wq: Weight,
-    prof: WeightProfile,
-    P: float,
-    grid: GeometricGrid,
-    g_num: float,
-    g_phi: float,
-) -> tuple[float, bool]:
-    Pp = P / (P - 1.0)
-    density = prof.density
-    tp = density.tail_power()
-    coef_psi, a_psi = tp if tp is not None else (0.0, 0.0)
-    # integrand ~ t^(Pp*(g_num - g_phi) + a_psi) far out; compare against 1/t
-    tail_exponent = Pp * (g_num - g_phi) + (a_psi if coef_psi > 0.0 else -_INF)
-    tail_divergent = g_num > 0.0 and tail_exponent >= -1.0 - 1e-12
-
-    def integrand(s):
-        s = np.asarray(s, dtype=float)
-        W = wq.cumulative_pairs(np.zeros_like(s), s)
-        Phi = np.asarray(prof.big_p(s), dtype=float)
-        dv = np.asarray(density(s), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (W / Phi) ** Pp * dv
-        return np.nan_to_num(out, nan=0.0)
-
-    edges = grid.breakpoints
-
-    def inner(t: float) -> float:
-        if tail_divergent:
-            return _INF
-        total = 0.0
-        prev = max(t, 0.0)
-        for b in edges[edges > prev]:
-            total += _gl_cell_split(integrand, prev, float(b))
-            prev = float(b)
-        top = max(prev, float(edges[-1]))
-        tail = mpmath.quad(lambda s: float(integrand(float(s))), [top, mpmath.inf])
-        return total + float(tail)
-
-    def contrib(t: float) -> float:
-        val = inner(t)
-        return val ** (1.0 / Pp) if val != _INF else _INF
-
-    total = math.fsum(
-        _mul_ext(float(m), contrib(float(t))) for t, m in zip(nu.locations, nu.masses)
-    )
-    if nu.tail is not None and total != _INF:
-        total += nu.tail_integral(contrib)
-    return total, tail_divergent
 
 
 def empirical_embedding_check(

@@ -35,7 +35,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -202,21 +201,6 @@ def _grid_from_text(text: Optional[str]) -> GeometricGrid:
         raise ConfigError(f"--grid: {exc}") from None
 
 
-def _thread_cap() -> Optional[int]:
-    raw = os.environ.get("LORENTZ_LAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"LORENTZ_LAB_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    if n < 1:
-        raise ConfigError(f"LORENTZ_LAB_THREADS must be >= 1, got {n}")
-    return n
-
-
 # -- output formatting ---------------------------------------------------------
 
 
@@ -345,7 +329,6 @@ def _payload(command: str, **fields) -> dict:
 def cli() -> None:
     """Norms, rearrangements, reverse Hardy constants, and associate norms
     for piecewise-constant functions on (0, inf)."""
-    _thread_cap()
 
 
 @cli.command()

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateSigma, DegenerateU
 from .grid import DEFAULT_GRID, GeometricGrid
 from .reports import ConditionReport
-from .weights import Power, PowerLog, Tabulated, Weight, WeightProfile, power_integral, product_cumulative
+from .weights import Power, PowerLog, Tabulated, Weight, WeightProfile, _cumulative_at, power_integral, product_cumulative
 
 __all__ = [
     "SigmaFn",
@@ -35,10 +35,6 @@ __all__ = [
 
 _INF = math.inf
 EPS_ADMISSIBLE = 1e-2
-
-
-def _cumulative_at(w: Weight, ts: np.ndarray) -> np.ndarray:
-    return w.cumulative_pairs(np.zeros_like(ts), ts)
 
 
 def _cell_sups(w: Weight, edges: np.ndarray) -> np.ndarray:
@@ -289,7 +285,7 @@ def bp_check(psi: Weight, p: float, grid: GeometricGrid = DEFAULT_GRID) -> Condi
         raise ValueError("B_p is defined for p > 1 (use b1_check for p = 1)")
     prof = WeightProfile(psi, p)
     bp_pts = grid.breakpoints
-    den = prof.density.cumulative_pairs(np.zeros_like(bp_pts), bp_pts)
+    den = _cumulative_at(prof.density, bp_pts)
     num = np.empty_like(bp_pts)
     for i, t in enumerate(bp_pts):
         num[i] = t ** p * _tail_integral(prof.density, p, float(t))
@@ -333,7 +329,7 @@ def _tail_integral(density: Weight, p: float, t: float) -> float:
 def b1_check(psi: Weight, grid: GeometricGrid = DEFAULT_GRID) -> ConditionReport:
     """B_1: the running average (1/t) integral_0^t psi is almost nonincreasing."""
     bp_pts = grid.breakpoints
-    Psi1 = psi.cumulative_pairs(np.zeros_like(bp_pts), bp_pts)
+    Psi1 = _cumulative_at(psi, bp_pts)
     avg = Psi1 / bp_pts
     c, w = _monotone_defect(avg[::-1], bp_pts[::-1])
     return ConditionReport(

@@ -44,7 +44,12 @@ class NotQuasiconcave(LorentzLabError):
 
 class FitFailed(LorentzLabError):
     """The representation-measure fitter could not reach the requested
-    sup-log-ratio bound."""
+    sup-log-ratio bound; ``achieved`` is the interior sup-log-ratio it did
+    reach (inf when no iterate gave a positive fit)."""
+
+    def __init__(self, message: str, achieved: float = float("inf")):
+        super().__init__(message)
+        self.achieved = achieved
 
 
 class HypothesisViolated(LorentzLabError):

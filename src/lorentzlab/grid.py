@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["GeometricGrid", "DEFAULT_GRID", "default_grid"]
+__all__ = ["GeometricGrid", "DEFAULT_GRID"]
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,3 @@ class GeometricGrid:
 
 
 DEFAULT_GRID = GeometricGrid()
-
-
-def default_grid() -> GeometricGrid:
-    return DEFAULT_GRID

@@ -8,6 +8,12 @@ evaluates both sides directly, computes A(1)/A(2) with analytic head/tail
 handling, provides the zeta functional and its smoothed form zeta1 together
 with the integration-by-parts identity connecting them, and verifies the
 equivalence empirically over seeded trial families.
+
+The same two integrals against nu give the associate norms and embedding
+criteria in ``associate``, so their kernels live here once: the suffix sup
+of a ratio (``_suffix_sup``), the suffix integral built from split
+Gauss-Legendre panels plus a tail (``_SuffixIntegral``, ``_power_tail``),
+and the two-probe ratio limit (``_ratio_limit``).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .measures import (
     fit_representation_measure,
     nondegeneracy_check,
 )
-from .rearrangement import DecreasingFn, cumulative_eval, decreasing_rearrangement
+from .rearrangement import _rearranged, cumulative_eval
 from .reports import EquivReport
 from .sampling import random_decreasing
 from .weights import (
@@ -41,6 +47,8 @@ from .weights import (
     Tabulated,
     Weight,
     WeightProfile,
+    _cumulative_at,
+    _growth_exponent,
     product_cumulative,
     weight_from_json,
 )
@@ -63,33 +71,109 @@ _INF = math.inf
 _GL_X, _GL_W = roots_legendre(20)
 
 
-def _gl_cell(fn, a: float, b: float) -> float:
-    """Gauss-Legendre integral of fn over [a, b] (vectorized integrand)."""
+def _gl_panels(fn, a: float, b: float) -> float:
+    """Gauss-Legendre integral of a vectorized fn over [a, b]: one 20-node
+    panel, split geometrically at six panels per decade when a > 0 so wide
+    cells keep full accuracy (a single panel loses digits across decades)."""
     if not b > a:
         return 0.0
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(_GL_W, fn(mid + half * _GL_X)))
+    n = 1 if a <= 0.0 else max(1, math.ceil(6 * math.log10(b / a)))
+    cuts = (a, b) if n == 1 else np.geomspace(a, b, n + 1)
+    sums = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        sums.append(half * float(np.dot(_GL_W, fn(mid + half * _GL_X))))
+    return sums[0] if n == 1 else math.fsum(sums)
 
 
-def _as_decreasing(f) -> DecreasingFn:
-    if isinstance(f, DecreasingFn):
-        return f
-    if isinstance(f, PiecewiseFn):
-        return decreasing_rearrangement(f)
-    raise NonRearrangeable("expected a PiecewiseFn or DecreasingFn")
+def _ratio_limit(ratio, ts: np.ndarray, toward: str) -> float:
+    """limsup of a nonnegative ratio toward 0+ or infinity, from two probes.
 
-
-def _cumulative_grid(w: Weight, ts: np.ndarray) -> np.ndarray:
-    return w.cumulative_pairs(np.zeros_like(ts), ts)
-
-
-def _growth_exponent(w: Weight) -> float:
-    """Exponent g with cumulative W(s) ~ s^g at infinity (0 when W is bounded)."""
-    tp = w.tail_power()
-    if tp is None or tp[0] == 0.0:
+    The probes sit on the approach side, so a log-log slope pointing away
+    from the limit means the ratio blows up there and pointing toward it
+    means the ratio vanishes."""
+    r = ratio(ts)
+    if r[0] <= 0.0 and r[1] <= 0.0:
         return 0.0
-    c, a = tp
-    return a + 1.0 if a > -1.0 else 0.0
+    if not np.all(np.isfinite(r)):
+        return _INF
+    slope = math.log(r[1] / r[0]) / math.log(ts[1] / ts[0]) if min(r) > 0 else 0.0
+    growing = slope < -1e-9 if toward == "zero" else slope > 1e-9
+    shrinking = slope > 1e-9 if toward == "zero" else slope < -1e-9
+    if growing:
+        return _INF
+    if shrinking:
+        return 0.0
+    return float(max(r))
+
+
+def _suffix_sup(ratio, edges: np.ndarray, head: float, tail: float):
+    """Lookup t -> sup over (t, infinity) of a continuous ratio >= 0.
+
+    A cell (edges[k-1], edges[k]] (the first starts at 0) takes the max of
+    its left limit (``head`` for the first cell), midpoint and right edge;
+    the sup beyond the last edge also covers a 16-point ladder over four
+    decades and the caller's limit ``tail``.  A t exactly at an edge starts
+    from the next cell, whose sup already includes the limit from the right
+    there; off-edge t conservatively include their covering cell.  The
+    lookup at t = inf is the sup beyond the last edge."""
+    lefts = np.concatenate([[0.0], edges[:-1]])
+    E = ratio(edges)
+    M = ratio(0.5 * (lefts + edges))
+    cell_sups = np.maximum(np.maximum(np.concatenate([[head], E[:-1]]), M), E)
+    ladder = float(edges[-1]) * 10.0 ** (np.arange(1, 17) / 4.0)
+    tail_sup = max(float(E[-1]), float(np.max(ratio(ladder))), tail)
+    suffix = np.maximum.accumulate(np.append(cell_sups, tail_sup)[::-1])[::-1]
+
+    def sup_after(t: float) -> float:
+        k = 0 if t <= 0.0 else int(np.searchsorted(edges, t, side="right"))
+        return float(suffix[min(k, len(edges))])
+
+    return sup_after
+
+
+class _SuffixIntegral:
+    """t -> integral over (t, infinity) of a vectorized integrand.
+
+    Gauss-Legendre panels per cell of ``edges`` (the first cell starts at 0)
+    are summed once into a suffix table; a query adds its partial cell, the
+    suffix after it, and the tail.  ``tail(t)`` integrates over (t, inf) for
+    t at or beyond the last edge; ``tail_end`` is its value at that edge."""
+
+    def __init__(self, integrand, edges: np.ndarray, tail):
+        self.integrand, self.edges, self.tail = integrand, edges, tail
+        lefts = np.concatenate([[0.0], edges[:-1]])
+        cells = np.array([_gl_panels(integrand, a, b) for a, b in zip(lefts, edges)])
+        self.suffix = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
+        self.tail_end = tail(float(edges[-1]))
+
+    def __call__(self, t: float) -> float:
+        t = float(t)
+        if t >= self.edges[-1]:
+            return self.tail(t)
+        k = int(np.searchsorted(self.edges, t, side="left"))
+        partial = _gl_panels(self.integrand, t, float(self.edges[k]))
+        return partial + float(self.suffix[k + 1]) + self.tail_end
+
+
+def _power_tail(integrand, density: Weight, expo: float, g_num: float, g_den: float):
+    """Tail function for _SuffixIntegral when, beyond the last edge, the
+    integrand behaves like (num/den)^expo * density with num ~ s^g_num and
+    den ~ s^g_den.  It is zero when the density vanishes there (the last
+    edge must lie past the density's support) and +inf when the integrand
+    decays no faster than 1/s; otherwise mpmath.quad integrates it, one
+    point at a time on a one-element array."""
+    tp = density.tail_power()
+    if tp is None or tp[0] == 0.0:
+        return lambda t: 0.0
+    if expo * (g_num - g_den) + tp[1] >= -1.0 - 1e-12:
+        return lambda t: _INF
+
+    def quad(t: float) -> float:
+        point = lambda s: float(integrand(np.array([float(s)]))[0])  # noqa: E731
+        return float(mpmath.quad(point, [t, mpmath.inf]))
+
+    return quad
 
 
 class _PowerOfCumulative:
@@ -101,7 +185,7 @@ class _PowerOfCumulative:
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        vals = self.w.cumulative_pairs(np.zeros_like(t_arr), t_arr) ** self.q
+        vals = _cumulative_at(self.w, t_arr) ** self.q
         return float(vals[0]) if np.asarray(t).ndim == 0 else vals
 
 
@@ -127,7 +211,7 @@ class HardyProblem:
         self.u, self.v, self.w = u, v, w
         self.nu = nu
         self.grid = grid
-        U = _cumulative_grid(u, grid.breakpoints)
+        U = _cumulative_at(u, grid.breakpoints)
         if U[0] <= 0.0 or not np.all(np.isfinite(U)):
             raise DegenerateU("U must be positive and finite on the grid")
         self._U = U
@@ -160,9 +244,6 @@ class HardyProblem:
     def branch(self) -> int:
         return 1 if self.q >= 1.0 else 2
 
-    def u_cumulative(self, t: float) -> float:
-        return self.u.cumulative(0.0, t)
-
     def to_json(self) -> dict:
         return {
             "q": self.q,
@@ -185,26 +266,6 @@ class HardyProblem:
         )
 
 
-def _limit_ratio_zero(w: Weight, u: Weight, q: float) -> float:
-    """lim as s -> 0+ of W(s)/U(s)^q, by growth comparison at two head probes."""
-    probes = np.array([1e-9, 1e-8])
-    W = w.cumulative_pairs(np.zeros(2), probes)
-    U = u.cumulative_pairs(np.zeros(2), probes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = W / U**q
-    r = np.nan_to_num(r, nan=0.0)
-    if r[0] <= 0.0:
-        return 0.0
-    if not math.isfinite(r[0]):
-        return _INF
-    slope = math.log(r[1] / r[0]) / math.log(probes[1] / probes[0]) if r[1] > 0 else 0.0
-    if slope > 1e-9:
-        return 0.0
-    if slope < -1e-9:
-        return _INF
-    return float(r[0])
-
-
 def _limit_ratio_inf(w: Weight, u: Weight, q: float, T: float) -> float:
     """lim sup as s -> infinity of W(s)/U(s)^q from the tail powers."""
     g_w = _growth_exponent(w)
@@ -220,69 +281,26 @@ def _limit_ratio_inf(w: Weight, u: Weight, q: float, T: float) -> float:
     return float(w.cumulative(0.0, far) / u.cumulative(0.0, far) ** q)
 
 
-def _ratio_suffix_sup(problem: HardyProblem) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-cell sups of W/U^q on the grid and the sup beyond the last breakpoint.
-
-    Returns (edges, cell_sups, tail_sup); cell_sups[k] covers (edges[k-1],
-    edges[k]] with edges[-1] = 0.
-    """
-    w, u, q = problem.w, problem.u, problem.q
-    edges = problem.grid.breakpoints
-    # refine with the atom locations so sups after an atom start exactly there
-    locs = problem.nu.locations
-    if len(locs):
-        inside = locs[(locs > 0.0) & (locs < edges[-1])]
-        if len(inside):
-            edges = np.unique(np.concatenate([edges, inside]))
-
-    def ratio_at(pts: np.ndarray) -> np.ndarray:
-        W = w.cumulative_pairs(np.zeros_like(pts), pts)
-        U = u.cumulative_pairs(np.zeros_like(pts), pts)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = W / U**q
-        return np.nan_to_num(vals, nan=0.0)
-
-    lefts = np.concatenate([[0.0], edges[:-1]])
-    E = ratio_at(edges)
-    M = ratio_at(0.5 * (lefts + edges))
-    # W/U^q is continuous, so the sup over a left-open cell includes the value
-    # at its left edge (the limit from the right)
-    left_vals = np.concatenate([[_limit_ratio_zero(w, u, q)], E[:-1]])
-    cell_sups = np.maximum(np.maximum(left_vals, M), E)
-    T = float(edges[-1])
-    ladder = T * 10.0 ** (np.arange(1, 17) / 4.0)
-    lv = ratio_at(ladder)
-    tail_sup = max(float(E[-1]), float(np.max(lv)), _limit_ratio_inf(w, u, q, T))
-    return edges, cell_sups, tail_sup
-
-
 def a1_constant(problem: HardyProblem) -> float:
     """A(1): the nu-integral of the suffix sup of W/U^q, to the power 1/q."""
     if problem.q < 1.0:
         raise BranchMismatch("A(1) requires q >= 1")
-    if len(problem.nu) == 0 and problem.nu.tail is None:
+    nu = problem.nu
+    if len(nu) == 0 and nu.tail is None:
         return 0.0
-    edges, cell_sups, tail_sup = _ratio_suffix_sup(problem)
-    suffix = np.empty(len(edges) + 1)
-    suffix[-1] = tail_sup
-    for k in range(len(edges) - 1, -1, -1):
-        suffix[k] = max(cell_sups[k], suffix[k + 1])
+    w, u, q = problem.w, problem.u, problem.q
+    edges = problem.grid.breakpoints
+    # refine with the atom locations so sups after an atom start exactly there
+    locs = nu.locations
+    edges = np.unique(np.concatenate([edges, locs[(locs > 0.0) & (locs < edges[-1])]]))
 
-    def sup_after(t: float) -> float:
-        if t <= 0.0:
-            return float(suffix[0])
-        # an atom exactly at an edge starts from the next cell (whose sup
-        # already includes the limit from the right at that edge); off-grid
-        # atoms conservatively include their covering cell
-        k = int(np.searchsorted(edges, t, side="right"))
-        return float(suffix[min(k, len(edges))])
+    def ratio(t):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.nan_to_num(_cumulative_at(w, t) / _cumulative_at(u, t) ** q, nan=0.0)
 
-    total = math.fsum(
-        m * sup_after(float(t)) for t, m in zip(problem.nu.locations, problem.nu.masses)
-    )
-    if problem.nu.tail is not None:
-        total += problem.nu.tail_integral(sup_after)
-    return total ** (1.0 / problem.q)
+    head = _ratio_limit(ratio, np.array([1e-9, 1e-8]), "zero")
+    tail = _limit_ratio_inf(w, u, q, float(edges[-1]))
+    return nu.integrate(_suffix_sup(ratio, edges, head, tail)) ** (1.0 / q)
 
 
 class ZetaFn:
@@ -303,60 +321,17 @@ class ZetaFn:
 
         def integrand(s):
             s = np.asarray(s, dtype=float)
-            W = w.cumulative_pairs(np.zeros_like(s), s)
-            U = u.cumulative_pairs(np.zeros_like(s), s)
+            W = _cumulative_at(w, s)
+            U = _cumulative_at(u, s)
             wv = np.asarray(w(s), dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = (W / U) ** self.expo * wv
             return np.nan_to_num(out, nan=0.0)
 
-        self._integrand = integrand
-        cells = np.array(
-            [
-                _gl_cell(integrand, a, b)
-                for a, b in zip(np.concatenate([[0.0], self.edges[:-1]]), self.edges)
-            ]
-        )
-        self._suffix = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
-        self.tail_divergent = False
-        self._tail = self._tail_integral()
-
-    def _tail_integral(self) -> float:
-        w, u, q = self.problem.w, self.problem.u, self.problem.q
-        T = float(self.edges[-1])
-        tp = w.tail_power()
-        if tp is None or tp[0] == 0.0:
-            return 0.0
-        c_w, a_w = tp
-        g_w = _growth_exponent(w)
-        g_u = _growth_exponent(u)
-        rate = self.expo * (g_w - g_u) + a_w
-        if rate >= -1.0:
-            self.tail_divergent = True
-            return _INF
-        val = mpmath.quad(
-            lambda s: float(self._integrand(np.array([float(s)]))[0]),
-            [T, mpmath.inf],
-        )
-        return float(val)
-
-    def inner_integral(self, t: float) -> float:
-        """integral over (t, infinity) of (W/U)^(q/(1-q)) w."""
-        if self.tail_divergent:
-            return _INF
-        edges = self.edges
-        if t >= edges[-1]:
-            if self._tail == 0.0:
-                return 0.0
-            return float(
-                mpmath.quad(
-                    lambda s: float(self._integrand(np.array([float(s)]))[0]),
-                    [t, mpmath.inf],
-                )
-            )
-        k = int(np.searchsorted(edges, t, side="left"))
-        partial = _gl_cell(self._integrand, t, float(edges[k]))
-        return partial + float(self._suffix[k + 1]) + self._tail
+        # inner_integral(t): integral over (t, infinity) of (W/U)^(q/(1-q)) w
+        tail = _power_tail(integrand, w, self.expo, _growth_exponent(w), _growth_exponent(u))
+        self.inner_integral = _SuffixIntegral(integrand, self.edges, tail)
+        self.tail_divergent = self.inner_integral.tail_end == _INF
 
     def __call__(self, t: float) -> float:
         t = float(t)
@@ -412,8 +387,7 @@ def lhs_rhs(problem: HardyProblem, f) -> tuple[float, float]:
     f_u**(t) v(t) over breakpoints, cell midpoints, and the analytic limits
     at zero and infinity.
     """
-    f_star = _as_decreasing(f)
-    fn = f_star.fn if hasattr(f_star, "fn") else f_star
+    fn = _rearranged(f)
     q, u, v, w = problem.q, problem.u, problem.v, problem.w
     lhs_q = product_cumulative(fn.powered(q), w, 0.0, _INF)
     lhs = lhs_q ** (1.0 / q) if lhs_q not in (0.0, _INF) else lhs_q
@@ -428,7 +402,7 @@ def lhs_rhs(problem: HardyProblem, f) -> tuple[float, float]:
         )
     )
     P = np.array([product_cumulative(fn, u, 0.0, float(t)) for t in candidates])
-    U = u.cumulative_pairs(np.zeros_like(candidates), candidates)
+    U = _cumulative_at(u, candidates)
     vv = np.asarray(v(candidates), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.nan_to_num(P / U * vv, nan=0.0)
@@ -476,8 +450,7 @@ class Zeta1Fn:
     ):
         if not p > 1.0:
             raise BranchMismatch("zeta1 requires 1 < p < infinity")
-        f_star = _as_decreasing(f)
-        self.fn = f_star.fn if hasattr(f_star, "fn") else f_star
+        self.fn = _rearranged(f)
         self.psi = psi
         self.p = float(p)
         self.pp = p / (p - 1.0)
@@ -503,19 +476,14 @@ class Zeta1Fn:
         def integrand(s):
             s = np.asarray(s, dtype=float)
             F = cumulative_eval(fn, s)
-            Phi = density.cumulative_pairs(np.zeros_like(s), s)
+            Phi = _cumulative_at(density, s)
             dv = np.asarray(density(s), dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = (F / Phi) ** pp * dv
             return np.nan_to_num(out, nan=0.0)
 
-        self._integrand = integrand
-        lefts = np.concatenate([[0.0], self.edges[:-1]])
-        self._cells = np.array(
-            [_gl_cell(integrand, a, b) for a, b in zip(lefts, self.edges)]
-        )
-        self._suffix = np.concatenate([np.cumsum(self._cells[::-1])[::-1], [0.0]])
         self.phi_inf = self.profile.big_p_inf()
+        self.inner_integral = _SuffixIntegral(integrand, self.edges, self._closed_tail)
 
     def _closed_tail(self, t: float) -> float:
         """Exact integral over (t, inf) for t at/after the support end of f*."""
@@ -528,16 +496,6 @@ class Zeta1Fn:
         head = phi_t ** (1.0 - pp)
         tail = self.phi_inf ** (1.0 - pp) if self.phi_inf != _INF else 0.0
         return (p - 1.0) * self.F_inf**pp * (head - tail)
-
-    def inner_integral(self, t: float) -> float:
-        t = float(t)
-        if t >= self.supp_end:
-            return self._closed_tail(t)
-        k = int(np.searchsorted(self.edges, t, side="left"))
-        partial = _gl_cell(self._integrand, t, float(self.edges[k]))
-        return (
-            partial + float(self._suffix[k + 1]) + self._closed_tail(self.supp_end)
-        )
 
     def __call__(self, t: float) -> float:
         t = float(t)
@@ -560,8 +518,7 @@ def zeta_specialized(
     of zeta1."""
     if not p > 1.0:
         raise BranchMismatch("the specialization requires 1 < p < infinity")
-    f_star = _as_decreasing(f)
-    fn = f_star.fn if hasattr(f_star, "fn") else f_star
+    fn = _rearranged(f)
     problem = HardyProblem(
         1.0 / p,
         WeightProfile(psi, p).density,
@@ -600,7 +557,7 @@ def parts_identity_sides(
     def lhs_integrand(s):
         s = np.asarray(s, dtype=float)
         F = cumulative_eval(fn, s)
-        Phi = density.cumulative_pairs(np.zeros_like(s), s)
+        Phi = _cumulative_at(density, s)
         fv = np.asarray(fn(s), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (F / Phi) ** e * fv
@@ -614,7 +571,7 @@ def parts_identity_sides(
     lhs = 0.0
     prev = t
     for b in edges:
-        lhs += _gl_cell(lhs_integrand, prev, b)
+        lhs += _gl_panels(lhs_integrand, prev, b)
         prev = b
 
     F_t = cumulative_eval(fn, t)

@@ -129,6 +129,16 @@ class DiscreteMeasure:
         val = mpmath.quad(lambda s: g(float(s)) * coef * float(s) ** alpha, [cut, mpmath.inf])
         return float(val)
 
+    def integrate(self, g: Callable[[float], float]) -> float:
+        """Integral of g against the measure: the fsum of m * g(t) over the
+        atoms, plus the tail integral when that sum is finite."""
+        total = math.fsum(
+            float(m) * g(float(t)) for t, m in zip(self.locations, self.masses)
+        )
+        if self.tail is not None and total != _INF:
+            total += self.tail_integral(g)
+        return total
+
     def to_json(self) -> dict:
         return {
             "atoms": [
@@ -461,6 +471,7 @@ def fit_representation_measure(
     if report.sup_log_ratio > max_log_ratio:
         raise FitFailed(
             f"interior sup log-ratio {report.sup_log_ratio:.6f} "
-            f"exceeds bound {max_log_ratio:.6f}"
+            f"exceeds bound {max_log_ratio:.6f}",
+            report.sup_log_ratio,
         )
     return nu, report

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import NonRearrangeable
+from .errors import ConfigError, NonRearrangeable
 from .funcs import PiecewiseFn, integrate
 from .weights import Weight, product_cumulative
 
@@ -82,6 +82,16 @@ def decreasing_rearrangement(f: PiecewiseFn) -> DecreasingFn:
     return DecreasingFn(
         PiecewiseFn.from_cells(f.lengths[sel][order], f.values[sel][order])
     )
+
+
+def _rearranged(f) -> PiecewiseFn:
+    """The step function of f*, for f a PiecewiseFn or an already
+    nonincreasing DecreasingFn."""
+    if isinstance(f, DecreasingFn):
+        return f.fn
+    if isinstance(f, PiecewiseFn):
+        return decreasing_rearrangement(f).fn
+    raise ConfigError(f"expected a PiecewiseFn or DecreasingFn, got {type(f)!r}")
 
 
 def cumulative_eval(fn: PiecewiseFn, t):

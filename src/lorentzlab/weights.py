@@ -309,6 +309,21 @@ def weight_from_json(obj: dict) -> Weight:
 # -- weighted integrals and sups ----------------------------------------------
 
 
+def _cumulative_at(w: Weight, t) -> np.ndarray:
+    """W(t) = integral_0^t w at each point of the array t."""
+    t = np.asarray(t, dtype=float)
+    return w.cumulative_pairs(np.zeros_like(t), t)
+
+
+def _growth_exponent(w: Weight) -> float:
+    """Exponent g with W(s) ~ s^g as s -> infinity (0 when W is bounded,
+    including weights that vanish beyond a point)."""
+    tp = w.tail_power()
+    if tp is None or tp[0] == 0.0:
+        return 0.0
+    return tp[1] + 1.0 if tp[1] > -1.0 else 0.0
+
+
 def product_cumulative(fn: PiecewiseFn, w: Weight, a: float, b: float) -> float:
     """Exact integral over (a, b] of fn(t) * w(t) dt.
 
@@ -386,9 +401,7 @@ class WeightProfile:
         self.density = psi.pow(p)
 
     def big_p(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, float))
-        zeros = np.zeros_like(t_arr)
-        out = self.density.cumulative_pairs(zeros, t_arr)
+        out = _cumulative_at(self.density, np.atleast_1d(np.asarray(t, float)))
         return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
     def big(self, t):

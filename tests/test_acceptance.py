@@ -8,7 +8,6 @@ or states the proved floor or constant and asserts against it.
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -272,7 +271,7 @@ def test_criterion_06_representation_measure_fits():
             # ln(10)/2 for min(1,t).
             with pytest.raises(FitFailed) as exc:
                 fit_representation_measure(h, sig)
-            achieved = float(re.search(r"sup log-ratio ([\d.]+)", str(exc.value)).group(1))
+            achieved = exc.value.achieved
             print(
                 f"    h={hname:9s} sigma={sname:8s} unattainable: achieved {achieved:.4f}, "
                 f"LP floor {floor:.4f}, monotone floor {monotone:.4f}"
@@ -526,11 +525,20 @@ def test_criterion_12_cli_determinism(tmp_path):
             ],
         ),
     ]
+    # tests/data holds each command's output as committed; a change that moves
+    # any byte of these seeded outputs must update the file on purpose
+    golden = Path(__file__).parent / "data"
     for name, args in jobs:
         out_a = tmp_path / f"{name}-a.json"
         out_b = tmp_path / f"{name}-b.json"
         _cli(args + ["--out", str(out_a)], tmp_path)
         _cli(args + ["--out", str(out_b)], tmp_path)
+        assert out_a.read_bytes() == (golden / f"{name}.json").read_bytes(), name
         assert out_a.read_bytes() == out_b.read_bytes(), name
         assert json.loads(out_a.read_text())["command"] == name
-    _line(12, True, "verify-hardy and verify-duality outputs byte-identical across seeded reruns")
+    _line(
+        12,
+        True,
+        "verify-hardy and verify-duality outputs byte-identical across seeded reruns "
+        "and to tests/data",
+    )

@@ -219,12 +219,6 @@ class TestConfigErrors:
         rc, _, _ = run(capsys, ["hardy-constants", "--config", "/nonexistent.json"])
         assert rc == 2
 
-    def test_thread_cap_env_is_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("LORENTZ_LAB_THREADS", "zero")
-        rc, _, err = run(capsys, ["norm", "--spec", "lpq:2,2", "--f", "indicator:0,1"])
-        assert rc == 2
-        assert "LORENTZ_LAB_THREADS" in err
-
     def test_no_partial_output_file_on_config_error(self, capsys, tmp_path):
         target = tmp_path / "result.json"
         rc, _, _ = run(

@@ -50,6 +50,17 @@ def test_constructed_failure_diverges():
     assert emp.details["indicator_growth"] >= 10.0
 
 
+def test_reduced_exponent_above_one():
+    # p/q = 2: the criterion is (integral of (W_2(s)/s)^2 ds)^{1/2}
+    w = Tabulated(indicator(0.0, 1.0))
+    res = embedding_criterion(4.0, 2.0, one, one, w)
+    assert res.holds
+    assert res.criterion_value == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    flat = embedding_criterion(4.0, 2.0, one, one, one)
+    assert flat.criterion_value == math.inf
+    assert flat.boundary_flags["tail_divergent"]
+
+
 def test_result_serialization_shape():
     res = embedding_criterion(2.0, 2.0, one, one, one)
     j = res.to_json()

@@ -41,7 +41,7 @@ from .funcs import PiecewiseFn, indicator, integrate, pointwise_merge
 from .grid import DEFAULT_GRID, GeometricGrid
 from .hardy import (
     Zeta1Fn,
-    _gl_panels,
+    _gl_cells,
     _power_tail,
     _ratio_limit,
     _suffix_sup,
@@ -290,6 +290,19 @@ def _prefix_norm(fstar: PiecewiseFn, p: float, psi: Weight, r: float) -> float:
     return total ** (1.0 / p)
 
 
+def _head_diverges(phi: Weight, p: float, psi: Weight) -> bool:
+    """Whether phi(r) ||psi||_{p,(0,r)} -> inf as r -> 0+, by exponent algebra
+    on the heads t^a (1 + ln 1/t)^b: the norm goes like r^(a_psi + 1/p) times
+    the log power b_psi, or b_psi + 1/p when a_psi + 1/p = 0."""
+    head_phi, head_psi = phi.head_power(), psi.head_power()
+    if head_phi is None or head_psi is None:
+        return False
+    a_psi = head_psi[0] + _inv(p)
+    a = head_phi[0] + a_psi
+    b = head_phi[1] + head_psi[1] + (_inv(p) if abs(a_psi) <= 1e-12 else 0.0)
+    return a < -1e-12 or (a <= 1e-12 and b > 1e-12)
+
+
 def _sup_truncated_fast(
     phi: Weight,
     p: float,
@@ -301,7 +314,10 @@ def _sup_truncated_fast(
 
     The probe set is the merged breakpoints of grid, data, and psi plus
     geometric ladders on both sides; the inner integral accumulates cell by
-    cell across the probes, so the whole sup costs one vectorized pass."""
+    cell across the probes, so the whole sup costs one vectorized pass.  With
+    f*(0+) > 0, a head r -> 0+ that blows up (by exponent algebra) gives +inf."""
+    if not _is_zero(fstar) and _head_diverges(phi, p, psi):
+        return _INF
     edges = _merged_edges(grid, fstar, getattr(psi, "fn", None))
     lo, hi = float(edges[0]), float(edges[-1])
     rs = np.unique(
@@ -456,16 +472,12 @@ def lpq_star_norm(p: float, q: float, f, grid: GeometricGrid = DEFAULT_GRID) -> 
         return _INF  # integrand carries t^{-1}; any nonzero head diverges
     # head cell (0, bp[0]]: f** is the constant vals[0], integral in closed form
     total = float(vals[0]) ** q * float(bp[0]) ** (q / p) * p / q
-    for k in range(1, len(bp)):
-        a, b = float(bp[k - 1]), float(bp[k])
-        v = float(vals[k])
-        Fa = float(F_edges[k])
 
-        def integrand(t, Fa=Fa, v=v, a=a):
-            t = np.asarray(t, dtype=float)
-            return (Fa + v * (t - a)) ** q * t ** (q / p - 1.0 - q)
+    def integrand(t):
+        return cumulative_eval(fstar, t) ** q * t ** (q / p - 1.0 - q)
 
-        total += _gl_panels(integrand, a, b)
+    for cell in _gl_cells(integrand, bp[:-1], bp[1:]):
+        total += float(cell)
     if F_inf > 0.0:
         T = float(bp[-1])
         e_tail = q / p - q  # integral of t^(e_tail - 1) beyond T

@@ -42,7 +42,6 @@ import click
 import numpy as np
 
 from .associate import (
-    AssociateResult,
     Lpq,
     LpqStar,
     NormSpec,

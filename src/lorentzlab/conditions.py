@@ -11,14 +11,13 @@ the weights' power-tail form.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 
 import numpy as np
 
 from .errors import DegenerateSigma, DegenerateU
 from .grid import DEFAULT_GRID, GeometricGrid
 from .reports import ConditionReport
-from .weights import Power, PowerLog, Tabulated, Weight, WeightProfile, _cumulative_at, power_integral, product_cumulative
+from .weights import Power, PowerLog, Weight, WeightProfile, _cumulative_at, product_cumulative
 
 __all__ = [
     "SigmaFn",

@@ -11,7 +11,7 @@ rearranged functions carry exactly the same length multiset as their source.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 

@@ -11,9 +11,9 @@ equivalence empirically over seeded trial families.
 
 The same two integrals against nu give the associate norms and embedding
 criteria in ``associate``, so their kernels live here once: the suffix sup
-of a ratio (``_suffix_sup``), the suffix integral built from split
-Gauss-Legendre panels plus a tail (``_SuffixIntegral``, ``_power_tail``),
-and the two-probe ratio limit (``_ratio_limit``).
+of a ratio (``_suffix_sup``), the suffix integral (``_SuffixIntegral``:
+Gauss-Legendre panels from ``_gl_cells``, one batched integrand call per
+build, plus a ``_power_tail``), and the two-probe limit (``_ratio_limit``).
 """
 
 from __future__ import annotations
@@ -71,19 +71,27 @@ _INF = math.inf
 _GL_X, _GL_W = roots_legendre(20)
 
 
-def _gl_panels(fn, a: float, b: float) -> float:
-    """Gauss-Legendre integral of a vectorized fn over [a, b]: one 20-node
-    panel, split geometrically at six panels per decade when a > 0 so wide
-    cells keep full accuracy (a single panel loses digits across decades)."""
-    if not b > a:
-        return 0.0
-    n = 1 if a <= 0.0 else max(1, math.ceil(6 * math.log10(b / a)))
-    cuts = (a, b) if n == 1 else np.geomspace(a, b, n + 1)
-    sums = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        sums.append(half * float(np.dot(_GL_W, fn(mid + half * _GL_X))))
-    return sums[0] if n == 1 else math.fsum(sums)
+def _gl_cells(fn, lefts, rights) -> np.ndarray:
+    """Gauss-Legendre integrals of a vectorized fn over the cells [a, b] of
+    ``lefts`` and ``rights``, from one call of fn on all the nodes.  A cell
+    gets one 20-node panel, split geometrically at six panels per decade when
+    a > 0 so wide cells keep full accuracy (a single panel loses digits
+    across decades); an empty cell (b <= a) integrates to 0."""
+    lo, hi, counts = [], [], []
+    for a, b in zip(lefts, rights):
+        n = 0 if not b > a else 1 if a <= 0.0 else max(1, math.ceil(6 * math.log10(b / a)))
+        cuts = np.geomspace(a, b, n + 1) if n > 1 else (a, b) if n else ()
+        lo.extend(cuts[:-1])
+        hi.extend(cuts[1:])
+        counts.append(n)
+    if not lo:
+        return np.zeros(len(counts))
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    vals = np.asarray(fn((mid[:, None] + half[:, None] * _GL_X).ravel()), dtype=float)
+    sums = (half * np.array([np.dot(_GL_W, row) for row in vals.reshape(len(lo), -1)])).tolist()
+    cells = [sums[e - n:e] for n, e in zip(counts, np.cumsum(counts).tolist())]
+    return np.array([c[0] if len(c) == 1 else math.fsum(c) for c in cells])
 
 
 def _ratio_limit(ratio, ts: np.ndarray, toward: str) -> float:
@@ -135,15 +143,15 @@ def _suffix_sup(ratio, edges: np.ndarray, head: float, tail: float):
 class _SuffixIntegral:
     """t -> integral over (t, infinity) of a vectorized integrand.
 
-    Gauss-Legendre panels per cell of ``edges`` (the first cell starts at 0)
-    are summed once into a suffix table; a query adds its partial cell, the
-    suffix after it, and the tail.  ``tail(t)`` integrates over (t, inf) for
-    t at or beyond the last edge; ``tail_end`` is its value at that edge."""
+    The build makes one integrand call, on the panel nodes of every cell of
+    ``edges`` (the first starts at 0), and sums the cells into a suffix table;
+    a query adds its partial cell, the suffix after it, and the tail.  ``tail(t)``
+    integrates over (t, inf) for t >= the last edge; ``tail_end`` is its value there."""
 
     def __init__(self, integrand, edges: np.ndarray, tail):
         self.integrand, self.edges, self.tail = integrand, edges, tail
         lefts = np.concatenate([[0.0], edges[:-1]])
-        cells = np.array([_gl_panels(integrand, a, b) for a, b in zip(lefts, edges)])
+        cells = _gl_cells(integrand, lefts, edges)
         self.suffix = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
         self.tail_end = tail(float(edges[-1]))
 
@@ -152,7 +160,7 @@ class _SuffixIntegral:
         if t >= self.edges[-1]:
             return self.tail(t)
         k = int(np.searchsorted(self.edges, t, side="left"))
-        partial = _gl_panels(self.integrand, t, float(self.edges[k]))
+        partial = float(_gl_cells(self.integrand, [t], [float(self.edges[k])])[0])
         return partial + float(self.suffix[k + 1]) + self.tail_end
 
 
@@ -214,7 +222,6 @@ class HardyProblem:
         U = _cumulative_at(u, grid.breakpoints)
         if U[0] <= 0.0 or not np.all(np.isfinite(U)):
             raise DegenerateU("U must be positive and finite on the grid")
-        self._U = U
         self.fit_report: Optional[EquivReport] = None
 
     @classmethod
@@ -569,10 +576,8 @@ def parts_identity_sides(
     )
     edges = sorted(set(edges))
     lhs = 0.0
-    prev = t
-    for b in edges:
-        lhs += _gl_panels(lhs_integrand, prev, b)
-        prev = b
+    for cell in _gl_cells(lhs_integrand, [t] + edges[:-1], edges):
+        lhs += float(cell)
 
     F_t = cumulative_eval(fn, t)
     Phi_t = density.cumulative(0.0, t)

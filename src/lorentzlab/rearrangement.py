@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, NonRearrangeable
-from .funcs import PiecewiseFn, integrate
+from .funcs import PiecewiseFn
 from .weights import Weight, product_cumulative
 
 __all__ = [

@@ -54,7 +54,7 @@ def power_integral(alpha: float, lo: float, hi: float) -> float:
     return (hi ** ap1 - lo ** ap1) / ap1
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=16384)  # about 5 MB full; one function's norms and associates need < 3k keys
 def _plog_head_integral(alpha: float, beta: float, lo: float, hi: float) -> float:
     """integral over (lo, hi] of t^alpha (1 - ln t)^beta, interval inside (0, 1]."""
     lam = alpha + 1.0
@@ -117,6 +117,11 @@ class Weight:
     def limit_inf(self) -> float:
         raise NotImplementedError
 
+    def head_power(self):
+        """(alpha, beta) with w(t) ~ c t^alpha (1 + ln 1/t)^beta, c > 0, as t -> 0+;
+        None when w vanishes near 0."""
+        raise NotImplementedError
+
     def tail_power(self):
         """(coef, alpha) with w(s) = coef * s^alpha for s beyond some point,
         or None when no such form exists (tabulated with nonconstant tail is
@@ -171,6 +176,9 @@ class Power(Weight):
 
     def tail_power(self):
         return (1.0, self.alpha)
+
+    def head_power(self):
+        return (self.alpha, 0.0)
 
     def to_json(self):
         return {"kind": "power", "alpha": self.alpha}
@@ -241,6 +249,9 @@ class PowerLog(Weight):
     def tail_power(self):
         return (1.0, self.alpha)
 
+    def head_power(self):
+        return (self.alpha, self.beta)
+
     def to_json(self):
         return {"kind": "powerlog", "alpha": self.alpha, "beta": self.beta}
 
@@ -279,6 +290,9 @@ class Tabulated(Weight):
     def tail_power(self):
         rv = self.fn.right_value
         return (rv, 0.0) if rv > 0 else None
+
+    def head_power(self):
+        return (0.0, 0.0) if self.fn.values[0] > 0 else None
 
     def to_json(self):
         body = self.fn.to_json()

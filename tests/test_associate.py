@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import step_functions
 from lorentzlab import (
+    DEFAULT_GRID,
     ClassicalLorentz,
+    GeometricGrid,
     GenClassicalLorentz,
     GenLorentz,
     Lpq,
@@ -58,6 +60,28 @@ class TestNormPins:
     def test_zero_function(self):
         zero = PiecewiseFn([1.0], [0.0])
         assert norm(Lpq(2.0, 2.0), zero) == 0.0
+
+
+class TestHeadAtZero:
+    """sup_r phi(r) ||f*||_{p,(0,r)} near r = 0 goes like r^(alpha + 1/p) for
+    phi = t^alpha and f*(0+) > 0, whatever the grid."""
+
+    grids = [DEFAULT_GRID, GeometricGrid(1e-8, 1e4, 32)]
+
+    @pytest.mark.parametrize("spec", [Marcinkiewicz(1.0, Power(-2.0)), Marcinkiewicz(math.inf, Power(-0.5))])
+    def test_divergent_head_is_infinite_on_every_grid(self, spec):
+        for grid in self.grids:
+            assert norm(spec, chi01, grid) == math.inf
+
+    def test_convergent_head_keeps_its_value(self):
+        # sup_r r^{-1/2} min(r, 1) = 1 at r = 1; pinned bit for bit
+        values = [norm(Marcinkiewicz(1.0, Power(-0.5)), chi01, grid) for grid in self.grids]
+        assert values == [1.0, 0.9999999999999999]
+
+    def test_critical_head_with_a_log_factor(self):
+        # phi(r) r^{1/2} = (1 + ln 1/r)^{1/2} near 0: a log blow-up, still +inf
+        assert norm(Marcinkiewicz(2.0, PowerLog(-0.5, 0.5)), chi01) == math.inf
+        assert norm(Marcinkiewicz(2.0, PowerLog(-0.5, -0.5)), chi01) < math.inf
 
 
 def test_spec_json_round_trip():

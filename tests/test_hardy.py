@@ -5,16 +5,24 @@ import math
 import numpy as np
 import pytest
 
+from conftest import decreasing_corpus
 from lorentzlab import (
+    DEFAULT_GRID,
     DiscreteMeasure,
     HardyProblem,
     PiecewiseFn,
     Power,
+    PowerLog,
     Tabulated,
     indicator,
 )
 from lorentzlab.errors import BranchMismatch, DegenerateU
 from lorentzlab.hardy import (
+    _GL_W,
+    _GL_X,
+    Zeta1Fn,
+    _gl_cells,
+    _SuffixIntegral,
     a1_constant,
     a2_constant,
     envelope_ratio,
@@ -188,3 +196,53 @@ def test_verify_reverse_hardy_seeded_run():
     assert rep.details["branch"] == 1
     assert rep.details["nondegenerate_measure"] in (True, False)
     assert rep.details["witness"] is not None
+
+
+def _gl_panels_one_call_each(fn, a, b):
+    """The panel rule one panel at a time: one call of fn per panel."""
+    if not b > a:
+        return 0.0
+    n = 1 if a <= 0.0 else max(1, math.ceil(6 * math.log10(b / a)))
+    cuts = (a, b) if n == 1 else np.geomspace(a, b, n + 1)
+    sums = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        sums.append(half * float(np.dot(_GL_W, fn(mid + half * _GL_X))))
+    return sums[0] if n == 1 else math.fsum(sums)
+
+
+class TestBatchedPanels:
+    def test_suffix_integral_build_calls_its_integrand_once(self):
+        calls = []
+
+        def integrand(s):
+            calls.append(len(s))
+            return np.exp(-s)
+
+        edges = DEFAULT_GRID.breakpoints
+        inner = _SuffixIntegral(integrand, edges, lambda t: math.exp(-t))
+        assert len(calls) == 1
+        assert calls[0] == 20 * sum(
+            1 if a == 0.0 else math.ceil(6 * math.log10(b / a))
+            for a, b in zip(np.concatenate([[0.0], edges[:-1]]), edges)
+        )
+        assert inner(0.0) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("psi", [one, PowerLog(0.5, 1.0)])
+    def test_cells_equal_the_panel_at_a_time_rule_on_corpus_cells(self, psi):
+        for f in decreasing_corpus(12, seed=5):
+            inner = Zeta1Fn(f, psi, 2.0).inner_integral
+            lefts = np.concatenate([[0.0], inner.edges[:-1]])
+            got = _gl_cells(inner.integrand, lefts, inner.edges)
+            want = [_gl_panels_one_call_each(inner.integrand, a, b) for a, b in zip(lefts, inner.edges)]
+            assert got.tolist() == want
+
+    def test_cells_equal_the_panel_at_a_time_rule_on_edge_cases(self):
+        fn = lambda s: np.sqrt(s) * np.log1p(1.0 / s)  # noqa: E731
+        lefts = [0.0, 2.0, 3.0, 1e-6, 0.5]
+        rights = [1e-3, 2.0, 1.0, 1e3, 0.75]  # a = 0, empty, inverted, nine decades
+        got = _gl_cells(fn, lefts, rights)
+        want = [_gl_panels_one_call_each(fn, a, b) for a, b in zip(lefts, rights)]
+        assert got.tolist() == want
+        assert got[1] == 0.0 and got[2] == 0.0
+        assert _gl_cells(fn, [], []).tolist() == []

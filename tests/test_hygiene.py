@@ -1,0 +1,48 @@
+"""Source hygiene checks that need only the standard library."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lorentzlab"
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """Names listed in a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return set()
+
+
+def unused_imports(source: str) -> list[str]:
+    """Module-level imported names that the module neither uses nor exports."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = set(imported) - used - _exported(tree)
+    return sorted(f"line {imported[name]}: {name}" for name in unused)
+
+
+def test_the_scan_sees_an_unused_import():
+    src = "import math\nimport os\nfrom typing import Any, Optional\n__all__ = ['Any']\nmath.pi\n"
+    assert unused_imports(src) == ["line 2: os", "line 3: Optional"]
+
+
+def test_no_unused_module_level_imports():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # its imports are the package's re-exports
+        bad = unused_imports(path.read_text())
+        if bad:
+            found[path.name] = bad
+    assert found == {}

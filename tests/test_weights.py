@@ -100,6 +100,13 @@ class TestTabulated:
         assert w.tail_power() == (0.5, 0.0)
 
 
+def test_head_power_of_each_kind():
+    assert Power(-0.5).head_power() == (-0.5, 0.0)
+    assert PowerLog(0.5, -2.0).head_power() == (0.5, -2.0)
+    assert Tabulated(indicator(0.0, 1.0)).head_power() == (0.0, 0.0)
+    assert Tabulated(indicator(1.0, 2.0)).head_power() is None  # zero near 0
+
+
 def test_json_round_trip_all_kinds():
     ts = np.array([0.25, 0.75, 1.5, 3.0])
     for w in (Power(-0.5), PowerLog(1.0, -2.0), Tabulated(indicator(0.5, 2.0))):

@@ -392,7 +392,8 @@ def lhs_rhs(problem: HardyProblem, f) -> tuple[float, float]:
 
     LHS = (integral of f*^q w)^(1/q), exact per cell; RHS = ess sup of
     f_u**(t) v(t) over breakpoints, cell midpoints, and the analytic limits
-    at zero and infinity.
+    at zero and infinity.  The prefix integrals of f* u at all candidate
+    points come from one ``product_cumulative`` call.
     """
     fn = _rearranged(f)
     q, u, v, w = problem.q, problem.u, problem.v, problem.w
@@ -408,7 +409,7 @@ def lhs_rhs(problem: HardyProblem, f) -> tuple[float, float]:
             ]
         )
     )
-    P = np.array([product_cumulative(fn, u, 0.0, float(t)) for t in candidates])
+    P = product_cumulative(fn, u, 0.0, candidates)
     U = _cumulative_at(u, candidates)
     vv = np.asarray(v(candidates), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -152,7 +152,7 @@ class Power(Weight):
         lo = np.asarray(lo, float)
         hi = np.asarray(hi, float)
         ap1 = self.alpha + 1.0
-        if np.any(lo == 0.0) and ap1 <= 0:
+        if ap1 <= 0 and (lo == 0.0).any():
             raise NonIntegrableNearZero(f"t^{self.alpha} near 0")
         if ap1 == 0.0:
             return np.log(hi / lo)
@@ -257,7 +257,12 @@ class PowerLog(Weight):
 
 
 class Tabulated(Weight):
-    """Weight backed by a piecewise-constant function."""
+    """Weight backed by a piecewise-constant function.
+
+    ``cumulative_pairs`` equals ``integrate(self.fn, a, b)`` pair by pair,
+    bit for bit: it builds the (pairs x cells) overlap matrix once and takes
+    the ``math.fsum`` of each row that has more than one nonzero entry.
+    """
 
     kind = "tabulated"
 
@@ -269,6 +274,24 @@ class Tabulated(Weight):
 
     def cumulative(self, a, b):
         return integrate(self.fn, a, b)
+
+    def cumulative_pairs(self, lo, hi):
+        f = self.fn
+        lo = np.asarray(lo, float)
+        hi = np.asarray(hi, float)
+        if (lo > hi).any():
+            raise InvertedInterval("cumulative_pairs over an inverted pair")
+        if (lo < 0).any():
+            raise ValueError("integration bounds must be >= 0")
+        ov = np.minimum(f.breakpoints, hi[:, None]) - np.maximum(f.left_edges, lo[:, None])
+        cells = np.multiply(f.values, ov, out=np.zeros(ov.shape), where=ov > 0)
+        out = cells.sum(axis=1)  # exact where a row has at most one nonzero entry
+        multi = np.count_nonzero(cells, axis=1) > 1
+        out[multi] = [math.fsum(row) for row in cells[multi].tolist()]
+        if f.right_value > 0:
+            tail = (hi > f.t_max) & (lo < hi)
+            out[tail] += f.right_value * (hi[tail] - np.maximum(lo[tail], f.t_max))
+        return out
 
     def pow(self, e):
         return Tabulated(self.fn.powered(e))
@@ -338,37 +361,37 @@ def _growth_exponent(w: Weight) -> float:
     return tp[1] + 1.0 if tp[1] > -1.0 else 0.0
 
 
-def product_cumulative(fn: PiecewiseFn, w: Weight, a: float, b: float) -> float:
+def product_cumulative(fn: PiecewiseFn, w: Weight, a: float, b):
     """Exact integral over (a, b] of fn(t) * w(t) dt.
 
     Piecewise-constant times a weight: each cell contributes value * W(cell),
     with W exact per kind; 0 * inf is treated as 0 (measure convention).
+    An array b gives one integral per point, each equal to the float call:
+    the (points x cells) products come from one ``w.cumulative_pairs`` call
+    and each point's value is the ``math.fsum`` of its row.
     """
-    if a > b:
+    b_arr = np.asarray(b, dtype=float)
+    bs = b_arr.reshape(-1)
+    if (bs < a).any():
         raise InvertedInterval(f"product_cumulative over ({a}, {b}]")
-    if a == b:
-        return 0.0
     if isinstance(w, Tabulated):
-        prod = pointwise_merge(fn, w.fn, _safe_mul)
-        return integrate(prod, a, b)
-    lo = np.maximum(fn.left_edges, a)
-    hi = np.minimum(fn.breakpoints, b)
-    sel = (hi > lo) & (fn.values > 0)
-    total = 0.0
-    if np.any(sel):
-        dw = w.cumulative_pairs(lo[sel], hi[sel])
-        with np.errstate(invalid="ignore"):
-            prod = fn.values[sel] * dw
-        prod = np.where(np.isnan(prod), 0.0, prod)  # inf * 0 := 0
-        if np.any(np.isinf(prod)):
-            return _INF
-        total = math.fsum(prod.tolist())
-    if b > fn.t_max and fn.right_value > 0:
-        tail = w.cumulative(max(a, fn.t_max), b)
-        if tail == _INF:
-            return _INF
-        total += fn.right_value * tail
-    return total
+        prod = Tabulated(pointwise_merge(fn, w.fn, _safe_mul))
+        out = prod.cumulative_pairs(np.full(bs.shape, float(a)), bs)
+    else:
+        lo = np.maximum(fn.left_edges, a)
+        hi = np.minimum(fn.breakpoints, bs[:, None])
+        rows, cols = ((hi > lo) & (fn.values > 0)).nonzero()
+        cells = np.zeros(hi.shape)
+        if len(cols):
+            dw = w.cumulative_pairs(lo[cols], hi[rows, cols])
+            with np.errstate(invalid="ignore"):
+                prod = fn.values[cols] * dw
+            cells[rows, cols] = np.where(np.isnan(prod), 0.0, prod)  # inf * 0 := 0
+        out = np.array([math.fsum(row) for row in cells.tolist()])
+        if fn.right_value > 0:
+            for i in (bs > fn.t_max).nonzero()[0]:
+                out[i] += fn.right_value * w.cumulative(max(a, fn.t_max), float(bs[i]))
+    return out if b_arr.ndim else float(out[0])
 
 
 def _safe_mul(x, y):

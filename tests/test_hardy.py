@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import lorentzlab
 from conftest import decreasing_corpus
 from lorentzlab import (
     DEFAULT_GRID,
@@ -14,6 +15,7 @@ from lorentzlab import (
     Power,
     PowerLog,
     Tabulated,
+    ZetaFn,
     indicator,
 )
 from lorentzlab.errors import BranchMismatch, DegenerateU
@@ -134,6 +136,41 @@ def test_lhs_rhs_pinned_and_homogeneous():
         l1, r1 = lhs_rhs(prob, f.scaled(lam))
         assert l1 == pytest.approx(lam * l0, rel=1e-12)
         assert r1 == pytest.approx(lam * r0, rel=1e-12)
+
+
+class TestCallCounts:
+    """The prefix integrals of lhs_rhs and the cumulatives of a ZetaFn build
+    are batched: the number of calls does not grow with the point count."""
+
+    def test_lhs_rhs_makes_at_most_three_product_cumulative_calls(self, monkeypatch):
+        calls = []
+        real = lorentzlab.hardy.product_cumulative
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(lorentzlab.hardy, "product_cumulative", counted)
+        prob = HardyProblem(0.5, Power(0.5), Power(0.75), Tabulated(chi01), d1)
+        many_cells = PiecewiseFn(np.geomspace(1e-3, 1e3, 400), np.geomspace(1e2, 1e-2, 400))
+        for f in decreasing_corpus(4, seed=2) + [chi01, many_cells]:
+            calls.clear()
+            lhs_rhs(prob, f)
+            assert len(calls) <= 3
+
+    def test_zeta_build_on_a_tabulated_w_never_integrates_per_point(self, monkeypatch):
+        calls = []
+        real = lorentzlab.funcs.integrate
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        for module in (lorentzlab.funcs, lorentzlab.weights, lorentzlab.associate):
+            monkeypatch.setattr(module, "integrate", counted)
+        bump = Tabulated(indicator(0.1, 10.0))  # criterion 07's bump-w problem
+        ZetaFn(HardyProblem(0.75, one, Power(0.5), bump, d1))
+        assert calls == []
 
 
 class TestZetaOne:

@@ -46,3 +46,28 @@ def test_no_unused_module_level_imports():
         if bad:
             found[path.name] = bad
     assert found == {}
+
+
+def classes_without(source: str, base: str, method: str) -> list[str]:
+    """Module-level subclasses of ``base`` that do not define ``method`` themselves."""
+    return sorted(
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == base for b in node.bases)
+        and not any(isinstance(f, ast.FunctionDef) and f.name == method for f in node.body)
+    )
+
+
+def test_the_scan_sees_a_class_without_the_method():
+    src = "class A(W):\n    def m(self): pass\nclass B(W):\n    x = 1\nclass C:\n    pass\n"
+    assert classes_without(src, "W", "m") == ["B"]
+
+
+def test_every_weight_kind_has_its_own_cumulative_pairs():
+    # The base-class cumulative_pairs calls cumulative once per pair; a kind
+    # that inherits it pays one exact integral per point in every batched
+    # build.  PowerLog still does, until its head integral is batched as well
+    # (ROADMAP direction 3).
+    missing = classes_without((PACKAGE / "weights.py").read_text(), "Weight", "cumulative_pairs")
+    assert missing == ["PowerLog"]

@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
+import lorentzlab.weights
+from conftest import decreasing_corpus, step_corpus
 from lorentzlab import (
     PiecewiseFn,
     Power,
@@ -14,6 +16,7 @@ from lorentzlab import (
     WeightProfile,
     ess_sup_weighted,
     indicator,
+    integrate,
     power_integral,
     product_cumulative,
     weight_from_json,
@@ -85,6 +88,23 @@ class TestPowerLog:
             PowerLog(-1.0, 0.5).cumulative(0.0, 1.0)
 
 
+def _corpus_cells():
+    """Seeded step functions, each also with a positive right value, plus a
+    function with a +inf cell."""
+    fns = decreasing_corpus(8, seed=3) + step_corpus(8, seed=4)
+    fns += [PiecewiseFn(f.breakpoints, f.values, right_value=0.5) for f in fns[::3]]
+    return fns + [PiecewiseFn([1.0, 2.0, 4.0], [math.inf, 3.0, 0.0], right_value=2.0)]
+
+
+def _pairs(fn, rng):
+    """Intervals with ends at breakpoints, 0, inf and random points, including
+    empty ones (lo == hi)."""
+    pts = np.concatenate([[0.0], fn.breakpoints, rng.uniform(0.0, 2.0 * fn.t_max, 6), [math.inf]])
+    lo, hi = np.meshgrid(pts, pts)
+    keep = lo <= hi
+    return lo[keep], hi[keep]
+
+
 class TestTabulated:
     def test_wraps_its_step_function(self):
         w = Tabulated(indicator(0.0, 1.0))
@@ -98,6 +118,26 @@ class TestTabulated:
     def test_constant_tail_is_a_power(self):
         w = Tabulated(PiecewiseFn([1.0], [2.0], right_value=0.5))
         assert w.tail_power() == (0.5, 0.0)
+
+    def test_cumulative_pairs_equals_integrate_in_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        cases = [(Tabulated(f), *_pairs(f, rng)) for f in _corpus_cells()]
+        wants = [[integrate(w.fn, a, b) for a, b in zip(lo, hi)] for w, lo, hi in cases]
+        assert any(math.inf in want for want in wants)
+
+        def per_pair(*args):
+            raise AssertionError("cumulative_pairs fell back to one integrate per pair")
+
+        monkeypatch.setattr(lorentzlab.weights, "integrate", per_pair)
+        for (w, lo, hi), want in zip(cases, wants):
+            assert w.cumulative_pairs(lo, hi).tolist() == want
+        # the same errors as integrate
+        w = Tabulated(indicator(0.0, 1.0))
+        with pytest.raises(InvertedInterval):
+            w.cumulative_pairs(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError):
+            w.cumulative_pairs(np.array([-1.0]), np.array([1.0]))
+        assert w.cumulative_pairs(np.array([]), np.array([])).tolist() == []
 
 
 def test_head_power_of_each_kind():
@@ -141,6 +181,24 @@ class TestProductCumulative:
         f = PiecewiseFn([1.0], [0.0], right_value=1.0)
         assert product_cumulative(f, Power(-2.0), 0.0, math.inf) == 1.0
         assert product_cumulative(f, Power(0.0), 0.0, math.inf) == math.inf
+
+    @pytest.mark.parametrize(
+        "w",
+        [Power(-0.5), Power(0.0), PowerLog(0.2, 1.0), Tabulated(PiecewiseFn([0.3, 5.0], [2.0, 0.5], 0.25))],
+        ids=["power", "flat", "powerlog", "tabulated"],
+    )
+    def test_array_b_equals_the_float_calls(self, w):
+        rng = np.random.default_rng(8)
+        for f in _corpus_cells()[::2]:
+            for a in (0.0, float(f.breakpoints[0])):
+                b = np.concatenate([[a], f.breakpoints[f.breakpoints >= a], a + rng.uniform(0, f.t_max, 4), [math.inf]])
+                want = [product_cumulative(f, w, a, float(t)) for t in b]
+                assert product_cumulative(f, w, a, b).tolist() == want
+                assert product_cumulative(f, w, a, b[:0]).tolist() == []
+
+    def test_array_b_below_a_is_inverted(self):
+        with pytest.raises(InvertedInterval):
+            product_cumulative(indicator(0.0, 1.0), Power(0.0), 0.5, np.array([1.0, 0.25]))
 
 
 def test_ess_sup_weighted_pinned():

@@ -37,7 +37,7 @@ from .errors import (
     NonIntegrableNearZero,
     NonRearrangeable,
 )
-from .funcs import PiecewiseFn, indicator, integrate, pointwise_merge
+from .funcs import PiecewiseFn, indicator
 from .grid import DEFAULT_GRID, GeometricGrid
 from .hardy import (
     Zeta1Fn,
@@ -53,6 +53,7 @@ from .reports import EquivReport
 from .sampling import random_decreasing
 from .weights import (
     Power,
+    Tabulated,
     Weight,
     WeightProfile,
     _cumulative_at,
@@ -277,7 +278,11 @@ def norm_spec_from_json(obj: dict) -> NormSpec:
 # -- shared plumbing ----------------------------------------------------------
 
 def _is_zero(fstar: PiecewiseFn) -> bool:
-    return fstar.right_value == 0.0 and not np.any(fstar.values > 0)
+    return _zero_values(fstar.values, fstar.right_value)
+
+
+def _zero_values(values: np.ndarray, right_value: float) -> bool:
+    return right_value == 0.0 and not (values > 0).any()
 
 
 def _prefix_norm(fstar: PiecewiseFn, p: float, psi: Weight, r: float) -> float:
@@ -303,75 +308,114 @@ def _head_diverges(phi: Weight, p: float, psi: Weight) -> bool:
     return a < -1e-12 or (a <= 1e-12 and b > 1e-12)
 
 
-def _sup_truncated_fast(
-    phi: Weight,
-    p: float,
-    psi: Weight,
-    fstar: PiecewiseFn,
-    grid: GeometricGrid,
-) -> float:
-    """sup_r phi(r) ||psi f*||_{p,(0,r)} in one cumulative sweep.
+class _SupNorm:
+    """g -> sup_r phi(r) ||psi g||_{p,(0,r)} for nonincreasing step g on fixed
+    breakpoints, built once and then applied to any values on them.
 
     The probe set is the merged breakpoints of grid, data, and psi plus
     geometric ladders on both sides; the inner integral accumulates cell by
-    cell across the probes, so the whole sup costs one vectorized pass.  With
-    f*(0+) > 0, a head r -> 0+ that blows up (by exponent algebra) gives +inf."""
-    if not _is_zero(fstar) and _head_diverges(phi, p, psi):
-        return _INF
-    edges = _merged_edges(grid, fstar, getattr(psi, "fn", None))
-    lo, hi = float(edges[0]), float(edges[-1])
-    rs = np.unique(
-        np.concatenate(
-            [
-                lo * 10.0 ** (-np.arange(1, 9) / 2.0),
-                edges,
-                hi * 10.0 ** (np.arange(1, 9) / 2.0),
-            ]
-        )
-    )
-    phi_vals = np.asarray(phi(rs), dtype=float)
+    cell across the probes, so one application is one vectorized pass.  The
+    build keeps everything that depends on the breakpoints only: phi at each
+    probe, the psi^p mass of each probe cell up to the last breakpoint (one
+    ``cumulative_pairs`` call), the probe-to-cell index map, and the psi^p
+    masses of the head (0, first probe] and of each cell for the total (psi
+    sups at p = inf).  A tabulated psi sends the head and the total through
+    ``product_cumulative`` on each application instead.  With g(0+) > 0, a
+    head r -> 0+ that blows up (by exponent algebra) gives +inf.
+    """
 
-    if p == _INF:
-        cell_vals = np.asarray(fstar(rs), dtype=float)
-        lefts = np.concatenate([[0.0], rs[:-1]])
-        sups = np.array(
-            [
-                v * psi.cell_sup(float(a), float(b)) if v > 0.0 else 0.0
-                for v, a, b in zip(cell_vals, lefts, rs)
-            ]
+    def __init__(self, phi: Weight, p: float, psi: Weight, shape: PiecewiseFn, grid: GeometricGrid):
+        bp = shape.breakpoints
+        edges = _merged_edges(grid, shape, getattr(psi, "fn", None))
+        lo, hi = float(edges[0]), float(edges[-1])
+        rs = np.unique(
+            np.concatenate(
+                [
+                    lo * 10.0 ** (-np.arange(1, 9) / 2.0),
+                    edges,
+                    hi * 10.0 ** (np.arange(1, 9) / 2.0),
+                ]
+            )
         )
-        inner = np.maximum.accumulate(sups)
-        inner_inf = ess_sup_weighted(fstar, psi, (0.0, _INF))
-    else:
-        fpow = fstar.powered(p)
-        dens = psi.pow(p)
+        self.p = p
+        self.bp = bp
+        self.head_diverges = _head_diverges(phi, p, psi)
+        self.phi_vals = np.asarray(phi(rs), dtype=float)
+        self.phi_inf = phi.limit_inf()
+        self.cell = bp.searchsorted(rs)  # probe k lies in cell k; len(bp) = beyond
+        cell_lefts = np.concatenate([[0.0], bp[:-1]])
+        if p == _INF:
+            probe_lefts = np.concatenate([[0.0], rs[:-1]])
+            self.probe_sup = np.array([psi.cell_sup(float(a), float(b)) for a, b in zip(probe_lefts, rs)])
+            self.cell_sup = np.array([psi.cell_sup(float(a), float(b)) for a, b in zip(cell_lefts, bp)])
+            self.tail_sup = psi.cell_sup(float(bp[-1]), _INF)
+            return
+        self.dens = dens = psi.pow(p)
+        # probe cells beyond the last breakpoint see only the right value, which
+        # is 0 unless g has unbounded support; their masses wait until needed
+        self.rs = rs
+        self.inside = n = int((rs[1:] <= bp[-1]).sum())
+        self.probe_mass = dens.cumulative_pairs(rs[:n], rs[1 : n + 1])
+        self.head_at = float(rs[0])
+        self.tabulated = isinstance(dens, Tabulated)
+        if self.tabulated:
+            return
+        # (0, rs[0]] lies inside the first cell, so the head is cell 0's alone
+        rest = dens.cumulative_pairs(cell_lefts[1:], bp[1:])
         try:
-            head = product_cumulative(fpow, dens, 0.0, float(rs[0]))
+            self.head_mass, first = dens.cumulative_pairs(np.zeros(2), np.array([self.head_at, bp[0]]))
         except NonIntegrableNearZero:
-            return _INF  # nonzero head value against a non-integrable weight
-        fv = np.asarray(fpow(rs[1:]), dtype=float)
-        pos = fv > 0.0
-        masses = np.zeros(len(rs) - 1)
-        if np.any(pos):
-            dw = dens.cumulative_pairs(rs[:-1][pos], rs[1:][pos])
-            masses[pos] = fv[pos] * dw
-        I = head + np.concatenate([[0.0], np.cumsum(masses)])
-        total = product_cumulative(fpow, dens, 0.0, _INF)
-        if total != _INF:
-            # each truncation is bounded by the exact full integral; clamping
-            # removes prefix-rounding overshoot so reductions hold exactly
-            I = np.minimum(I, total)
-        with np.errstate(invalid="ignore"):
-            inner = I ** (1.0 / p)
-        inner_inf = total ** (1.0 / p) if total != _INF else _INF
+            self.head_mass, first = None, 0.0  # a nonzero head value gives +inf
+        self.cell_mass = np.concatenate([[first], rest])
 
-    with np.errstate(invalid="ignore"):
-        prods = np.where((phi_vals == 0.0) | (inner == 0.0), 0.0, phi_vals * inner)
-    best = float(np.max(prods)) if len(prods) else 0.0
-    phi_inf = phi.limit_inf()
-    if inner_inf > 0.0 and phi_inf > 0.0:
-        best = max(best, phi_inf * inner_inf)
-    return best
+    def __call__(self, values: np.ndarray, right_value: float) -> float:
+        if self.head_diverges and not _zero_values(values, right_value):
+            return _INF
+        p = self.p
+        with np.errstate(invalid="ignore"):  # inf * 0 := 0 throughout
+            if p == _INF:
+                ext = np.concatenate((values, (right_value,)))[self.cell]
+                inner = np.maximum.accumulate(np.where(ext > 0.0, ext * self.probe_sup, 0.0))
+                # the ess sup of psi g over (0, inf)
+                cells = np.where((values > 0) & (self.cell_sup > 0), values * self.cell_sup, 0.0)
+                inner_inf = max(0.0, cells.max())
+                if right_value > 0 and self.tail_sup > 0:
+                    inner_inf = max(inner_inf, right_value * self.tail_sup)
+            else:
+                vp = values**p
+                rvp = right_value**p
+                if self.tabulated:
+                    fpow = PiecewiseFn(self.bp, vp, rvp)
+                    head = product_cumulative(fpow, self.dens, 0.0, self.head_at)
+                    total = product_cumulative(fpow, self.dens, 0.0, _INF)
+                elif vp[0] > 0.0 and self.head_mass is None:
+                    return _INF  # nonzero head value against a non-integrable weight
+                else:
+                    head = float(vp[0] * self.head_mass) if vp[0] > 0.0 else 0.0
+                    head = 0.0 if math.isnan(head) else head
+                    cells = np.where(vp > 0.0, vp * self.cell_mass, 0.0)
+                    total = math.fsum(np.where(np.isnan(cells), 0.0, cells).tolist())
+                    if rvp > 0:
+                        total += rvp * self.dens.cumulative(float(self.bp[-1]), _INF)
+                n, rs = self.inside, self.rs
+                fv = vp[self.cell[1 : n + 1]]
+                masses = np.zeros(len(rs) - 1)
+                masses[:n] = np.where(fv > 0.0, fv * self.probe_mass, 0.0)
+                if rvp > 0:
+                    masses[n:] = rvp * self.dens.cumulative_pairs(rs[n:-1], rs[n + 1 :])
+                I = head + np.concatenate(((0.0,), np.cumsum(masses)))
+                if total != _INF:
+                    # each truncation is bounded by the exact full integral; clamping
+                    # removes prefix-rounding overshoot so reductions hold exactly
+                    I = np.minimum(I, total)
+                inner = I ** (1.0 / p)
+                inner_inf = total ** (1.0 / p) if total != _INF else _INF
+            phi_vals = self.phi_vals
+            prods = np.where((phi_vals == 0.0) | (inner == 0.0), 0.0, phi_vals * inner)
+        best = float(prods.max())
+        if inner_inf > 0.0 and self.phi_inf > 0.0:
+            best = max(best, self.phi_inf * inner_inf)
+        return best
 
 
 def _merged_edges(grid: GeometricGrid, *fns) -> np.ndarray:
@@ -403,14 +447,21 @@ def norm(spec: NormSpec, f, grid: GeometricGrid = DEFAULT_GRID) -> float:
         return lpq_star_norm(spec.p, spec.q, DecreasingFn(fstar))
     if isinstance(spec, ClassicalLorentz):
         return _prefix_norm(fstar, spec.p, spec.psi, _INF)
-    if isinstance(spec, GenLorentz):
-        psi = Power(_inv(spec.p) - _inv(spec.q))
-        return _sup_truncated_fast(spec.phi, spec.q, psi, fstar, grid)
-    if isinstance(spec, GenClassicalLorentz):
-        return _sup_truncated_fast(spec.phi, spec.p, spec.psi, fstar, grid)
-    if isinstance(spec, Marcinkiewicz):
-        return _sup_truncated_fast(spec.phi, spec.p, Power(0.0), fstar, grid)
+    sup = _sup_family(spec)
+    if sup is not None:
+        return _SupNorm(*sup, fstar, grid)(fstar.values, fstar.right_value)
     raise ConfigError(f"unknown norm spec {spec!r}")
+
+
+def _sup_family(spec: NormSpec) -> Optional[tuple[Weight, float, Weight]]:
+    """(phi, p, psi) of a family normed by sup_r phi(r) ||psi f*||_{p,(0,r)}."""
+    if isinstance(spec, GenLorentz):
+        return spec.phi, spec.q, Power(_inv(spec.p) - _inv(spec.q))
+    if isinstance(spec, GenClassicalLorentz):
+        return spec.phi, spec.p, spec.psi
+    if isinstance(spec, Marcinkiewicz):
+        return spec.phi, spec.p, Power(0.0)
+    return None
 
 
 def lpq_star_norm(p: float, q: float, f, grid: GeometricGrid = DEFAULT_GRID) -> float:
@@ -655,12 +706,75 @@ def assoc_generalized(
 
 # -- brute-force duality oracle -----------------------------------------------
 
+# Scored candidate pools, keyed by (spec, grid, seed, n_trials): the pool does
+# not depend on f, and verify_duality asks for the same one for every function.
+_POOL_CACHE: dict[str, tuple] = {}
+_POOL_CACHE_SIZE = 16
 
-def _pairing(fstar: PiecewiseFn, g: PiecewiseFn) -> float:
-    """integral of f* g* over (0, inf), exact for step data."""
-    if fstar.right_value > 0.0 and g.right_value > 0.0:
-        return _INF
-    return integrate(pointwise_merge(fstar, g, lambda a, b: a * b), 0.0, _INF)
+
+def _pairing(fstar: PiecewiseFn, bp: np.ndarray) -> Callable[[np.ndarray, float], float]:
+    """(values, right_value) -> integral of f* g over (0, inf) for the step
+    function g on breakpoints bp; exact for step data, and the same terms and
+    fsum as integrating the merged product f* g cell by cell."""
+    u = np.union1d(fstar.breakpoints, bp)
+    fv = np.concatenate((fstar.values, (fstar.right_value,)))[fstar.breakpoints.searchsorted(u)]
+    at = bp.searchsorted(u)
+    lengths = u - np.concatenate(((0.0,), u[:-1]))
+
+    def pairing(values: np.ndarray, right_value: float) -> float:
+        if fstar.right_value > 0.0 and right_value > 0.0:
+            return _INF
+        return math.fsum((fv * np.concatenate((values, (right_value,)))[at] * lengths).tolist())
+
+    return pairing
+
+
+def _quotient(den: Optional[float], pairing: Callable[[], float]) -> float:
+    """The score pairing/den of a candidate with norm den (None when it is not
+    nonincreasing, which scores 0, as does an infinite norm)."""
+    if den is None or den == _INF:
+        return 0.0
+    if den == 0.0:
+        return _INF if pairing() > 0.0 else 0.0
+    return pairing() / den
+
+
+def _norm_or_none(spec: NormSpec, g: PiecewiseFn, grid: GeometricGrid) -> Optional[float]:
+    try:
+        return norm(spec, DecreasingFn(g), grid)
+    except NonRearrangeable:
+        return None
+
+
+def _norm_on(spec: NormSpec, shape: PiecewiseFn, grid: GeometricGrid) -> Callable:
+    """(values, right_value) -> ||g||_spec for nonincreasing g on shape's
+    breakpoints; one fixed-breakpoint operator for the sup families."""
+    sup = _sup_family(spec)
+    if sup is not None:
+        return _SupNorm(*sup, shape, grid)
+    bp = shape.breakpoints
+    return lambda values, rv: norm(spec, DecreasingFn(PiecewiseFn(bp, values, rv)), grid)
+
+
+def _scored_pool(spec, sampler, n_trials, seed, grid) -> tuple:
+    """The indicator sweep chi_(0,a] across the grid, then n_trials seeded
+    candidates, each with its norm; cached unless a sampler is passed."""
+    key = None
+    if sampler is None and isinstance(seed, (int, np.integer)):
+        key = json.dumps([spec.to_json(), grid.to_json(), int(seed), int(n_trials)], sort_keys=True)
+        hit = _POOL_CACHE.get(key)
+        if hit is not None:
+            return hit
+    rng = np.random.default_rng(seed)
+    pool = [indicator(0.0, float(a)) for a in np.geomspace(grid.t_min, grid.t_max, 33)]
+    make = sampler if sampler is not None else random_decreasing
+    pool.extend(make(rng) for _ in range(n_trials))
+    scored = tuple((g, _norm_or_none(spec, g, grid)) for g in pool)
+    if key is not None:
+        if len(_POOL_CACHE) >= _POOL_CACHE_SIZE:
+            del _POOL_CACHE[next(iter(_POOL_CACHE))]  # the oldest pool
+        _POOL_CACHE[key] = scored
+    return scored
 
 
 def duality_oracle(
@@ -679,36 +793,26 @@ def duality_oracle(
     gets coordinate-wise multiplicative local search (step 1.1, re-projected
     to nonincreasing, budgeted passes).  The returned value is a certified
     lower bound on the associate norm — a budget, not a convergence claim.
+
+    The candidates other than f* do not depend on f, so their norms are
+    computed once per (spec, grid, seed, n_trials) and kept in a small
+    bounded cache; a custom ``sampler`` is called afresh on every call and
+    nothing is cached.  Local search keeps the best candidate's breakpoints,
+    so for the sup families (GenLorentz, GenClassicalLorentz, Marcinkiewicz)
+    one fixed-breakpoint norm operator, built once, scores every step.
     """
     fstar = _rearranged(f)
     if _is_zero(fstar):
         return 0.0
-    rng = np.random.default_rng(seed)
-    candidates: list[PiecewiseFn] = [
-        indicator(0.0, float(a)) for a in np.geomspace(grid.t_min, grid.t_max, 33)
-    ]
-    candidates.append(PiecewiseFn(fstar.breakpoints, fstar.values, fstar.right_value))
-    make = sampler if sampler is not None else random_decreasing
-    candidates.extend(make(rng) for _ in range(n_trials))
-
-    def quotient(g: PiecewiseFn) -> tuple[float, float]:
-        try:
-            den = norm(spec, DecreasingFn(g), grid)
-        except NonRearrangeable:
-            return 0.0, 0.0
-        if den == 0.0:
-            return (_INF if _pairing(fstar, g) > 0.0 else 0.0), den
-        if den == _INF:
-            return 0.0, den
-        return _pairing(fstar, g) / den, den
-
+    pool = _scored_pool(spec, sampler, n_trials, seed, grid)
+    own = PiecewiseFn(fstar.breakpoints, fstar.values, fstar.right_value)
     best_val = -1.0
     best_g: Optional[PiecewiseFn] = None
     any_norm_positive = False
-    for g in candidates:
-        val, den = quotient(g)
-        if den > 0.0:
+    for g, den in (*pool[:33], (own, _norm_or_none(spec, own, grid)), *pool[33:]):
+        if den is not None and den > 0.0:
             any_norm_positive = True
+        val = _quotient(den, lambda: _pairing(fstar, g.breakpoints)(g.values, g.right_value))
         if val > best_val:
             best_val, best_g = val, g
         if val == _INF:
@@ -719,8 +823,9 @@ def duality_oracle(
         return max(best_val, 0.0)
 
     v = best_g.values.copy()
-    bp = best_g.breakpoints
     rv = best_g.right_value
+    size = _norm_on(spec, best_g, grid)
+    pairing = _pairing(fstar, best_g.breakpoints)
     for _ in range(local_search_steps):
         improved = False
         for j in range(len(v)):
@@ -728,7 +833,8 @@ def duality_oracle(
                 w = v.copy()
                 w[j] *= fac
                 w = np.minimum.accumulate(w)  # keep it nonincreasing
-                val, _ = quotient(PiecewiseFn(bp, w, rv))
+                den = size(w, rv) if rv <= w[-1] else None
+                val = _quotient(den, lambda: pairing(w, rv))
                 if val > best_val * (1.0 + 1e-12):
                     best_val = val
                     v = w
@@ -939,9 +1045,11 @@ def verify_duality(
     """Two-sided comparison assoc_generalized vs duality_oracle over a seeded
     corpus (half indicators sweeping the grid, half random nonincreasing).
 
-    Reports lower/upper bounds of closed_form/oracle with witnesses; the
-    oracle is a lower-bound device, so upper > 1 is expected and the pair
-    (1/upper, lower... ) — read: oracle in [value/upper_constant, value].
+    Reports the smallest (lower) and largest (upper) ratio closed_form/oracle
+    over the corpus, each with the function that attained it, so every oracle
+    value lies in [closed_form/upper, closed_form/lower].  The oracle is a
+    lower-bound device, so ratios above 1 are expected.  Every oracle call
+    uses the same seed, so they all share one scored candidate pool.
     """
     spec = GenClassicalLorentz(p, psi, phi)
     rng = np.random.default_rng(seed)

@@ -27,9 +27,9 @@ def _as_value_array(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) == 0:
         raise ConfigError("values must be a nonempty 1-d array")
-    if np.any(np.isnan(v)):
+    if np.isnan(v).any():
         raise ConfigError("NaN is not a legal function value")
-    if np.any(v < 0):
+    if (v < 0).any():
         raise ConfigError("function values must be nonnegative")
     return v
 
@@ -44,7 +44,7 @@ class PiecewiseFn:
         v = _as_value_array(values)
         if bp.ndim != 1 or len(bp) != len(v):
             raise ConfigError("breakpoints and values must have equal length")
-        if not np.all(np.isfinite(bp)) or bp[0] <= 0 or np.any(np.diff(bp) <= 0):
+        if not np.isfinite(bp).all() or bp[0] <= 0 or (np.diff(bp) <= 0).any():
             raise ConfigError("breakpoints must be finite, positive, strictly increasing")
         if math.isnan(right_value) or right_value < 0:
             raise ConfigError("right_value must be a nonnegative extended real")
@@ -100,7 +100,7 @@ class PiecewiseFn:
         same float multiset as the original.
         """
         ln = np.asarray(lengths, dtype=float)
-        if np.any(~np.isfinite(ln)) or np.any(ln <= 0):
+        if not np.isfinite(ln).all() or (ln <= 0).any():
             raise ConfigError("cell lengths must be finite and positive")
         bp = np.cumsum(ln)
         return cls(bp, values, right_value, _lengths=ln)
@@ -112,7 +112,7 @@ class PiecewiseFn:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr <= 0):
+        if (t_arr <= 0).any():
             raise ValueError("PiecewiseFn is defined on (0, inf) only")
         idx = np.searchsorted(self.breakpoints, t_arr, side="left")
         out = np.where(
@@ -137,7 +137,7 @@ class PiecewiseFn:
         return math.fsum(self.lengths[self.values > 0])
 
     def is_nonincreasing(self) -> bool:
-        ok = bool(np.all(np.diff(self.values) <= 0))
+        ok = bool((np.diff(self.values) <= 0).all())
         return ok and self.right_value <= self.values[-1]
 
     # -- pointwise algebra ----------------------------------------------------
@@ -225,7 +225,7 @@ def p_norm(f: PiecewiseFn, p: float, r: float = _INF) -> float:
     """||f||_{p,(0,r)} — the L_p (quasi)norm over (0, r], p in (0, inf]."""
     if p == _INF:
         sel = f.left_edges < r
-        out = float(np.max(f.values[sel])) if np.any(sel) else 0.0
+        out = float(np.max(f.values[sel])) if sel.any() else 0.0
         if r > f.t_max:
             out = max(out, f.right_value)
         return out

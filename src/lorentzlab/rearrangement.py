@@ -76,7 +76,7 @@ def decreasing_rearrangement(f: PiecewiseFn) -> DecreasingFn:
             "unbounded support: rearrangement exists only for nonincreasing input"
         )
     sel = f.values > 0
-    if not np.any(sel):
+    if not sel.any():
         return DecreasingFn(PiecewiseFn([f.t_max], [0.0]))
     order = np.argsort(-f.values[sel], kind="stable")
     return DecreasingFn(
@@ -122,7 +122,7 @@ def maximal(f_star: DecreasingFn):
 
     def f_double_star(t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr <= 0):
+        if (t_arr <= 0).any():
             raise ValueError("f** is defined for t > 0")
         out = cumulative_eval(fn, t_arr) / t_arr
         return float(out[0]) if np.asarray(t).ndim == 0 else out

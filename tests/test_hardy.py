@@ -166,7 +166,7 @@ class TestCallCounts:
             calls.append(1)
             return real(*args)
 
-        for module in (lorentzlab.funcs, lorentzlab.weights, lorentzlab.associate):
+        for module in (lorentzlab.funcs, lorentzlab.weights):
             monkeypatch.setattr(module, "integrate", counted)
         bump = Tabulated(indicator(0.1, 10.0))  # criterion 07's bump-w problem
         ZetaFn(HardyProblem(0.75, one, Power(0.5), bump, d1))

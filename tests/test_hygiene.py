@@ -71,3 +71,32 @@ def test_every_weight_kind_has_its_own_cumulative_pairs():
     # (ROADMAP direction 3).
     missing = classes_without((PACKAGE / "weights.py").read_text(), "Weight", "cumulative_pairs")
     assert missing == ["PowerLog"]
+
+
+def numpy_reductions(source: str) -> list[str]:
+    """Calls ``np.any(...)`` or ``np.all(...)``, as 'line N: np.name'."""
+    return sorted(
+        f"line {node.lineno}: np.{node.func.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("any", "all")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+    )
+
+
+def test_the_scan_sees_a_numpy_reduction():
+    src = "import numpy as np\nnp.any(x)\nx.any()\ny = np.all(x > 0)\nnp.max(x)\n"
+    assert numpy_reductions(src) == ["line 2: np.any", "line 4: np.all"]
+
+
+def test_no_numpy_reductions_on_the_small_array_paths():
+    # np.any(x) and np.all(x) go through NumPy's Python-level dispatch, about
+    # 5 us a call against 1 us for x.any(); the step-function code calls them
+    # on every construction and evaluation
+    found = {
+        name: numpy_reductions((PACKAGE / name).read_text())
+        for name in ("funcs.py", "rearrangement.py")
+    }
+    assert found == {"funcs.py": [], "rearrangement.py": []}

@@ -40,12 +40,14 @@ from .errors import (
 from .funcs import PiecewiseFn, indicator
 from .grid import DEFAULT_GRID, GeometricGrid
 from .hardy import (
+    _HEAD_PROBES,
     Zeta1Fn,
     _gl_cells,
-    _power_tail,
-    _ratio_limit,
+    _head_growth,
+    _merged_edges,
+    _order,
+    _Ratio,
     _suffix_sup,
-    _SuffixIntegral,
 )
 from .measures import DiscreteMeasure, fit_representation_measure
 from .rearrangement import DecreasingFn, _rearranged, cumulative_eval
@@ -56,8 +58,7 @@ from .weights import (
     Tabulated,
     Weight,
     WeightProfile,
-    _cumulative_at,
-    _growth_exponent,
+    _cell_sups,
     ess_sup_weighted,
     product_cumulative,
     weight_from_json,
@@ -296,16 +297,14 @@ def _prefix_norm(fstar: PiecewiseFn, p: float, psi: Weight, r: float) -> float:
 
 
 def _head_diverges(phi: Weight, p: float, psi: Weight) -> bool:
-    """Whether phi(r) ||psi||_{p,(0,r)} -> inf as r -> 0+, by exponent algebra
-    on the heads t^a (1 + ln 1/t)^b: the norm goes like r^(a_psi + 1/p) times
-    the log power b_psi, or b_psi + 1/p when a_psi + 1/p = 0."""
-    head_phi, head_psi = phi.head_power(), psi.head_power()
-    if head_phi is None or head_psi is None:
+    """Whether phi(r) ||psi||_{p,(0,r)} -> inf as r -> 0+, by the limit rule's
+    exponent algebra: the norm grows like the integral of psi^p over (0, r] to
+    the power 1/p, and like psi itself at p = inf."""
+    norm = _head_growth(psi, cumulative=False) if p == _INF else _head_growth(psi.pow(p), 1.0 / p)
+    weight = _head_growth(phi, cumulative=False)
+    if norm is None or weight is None:
         return False
-    a_psi = head_psi[0] + _inv(p)
-    a = head_phi[0] + a_psi
-    b = head_phi[1] + head_psi[1] + (_inv(p) if abs(a_psi) <= 1e-12 else 0.0)
-    return a < -1e-12 or (a <= 1e-12 and b > 1e-12)
+    return _order(norm[0] + weight[0], norm[1] + weight[1]) > 0
 
 
 class _SupNorm:
@@ -343,11 +342,9 @@ class _SupNorm:
         self.phi_vals = np.asarray(phi(rs), dtype=float)
         self.phi_inf = phi.limit_inf()
         self.cell = bp.searchsorted(rs)  # probe k lies in cell k; len(bp) = beyond
-        cell_lefts = np.concatenate([[0.0], bp[:-1]])
         if p == _INF:
-            probe_lefts = np.concatenate([[0.0], rs[:-1]])
-            self.probe_sup = np.array([psi.cell_sup(float(a), float(b)) for a, b in zip(probe_lefts, rs)])
-            self.cell_sup = np.array([psi.cell_sup(float(a), float(b)) for a, b in zip(cell_lefts, bp)])
+            self.probe_sup = _cell_sups(psi, rs)
+            self.cell_sup = _cell_sups(psi, bp)
             self.tail_sup = psi.cell_sup(float(bp[-1]), _INF)
             return
         self.dens = dens = psi.pow(p)
@@ -361,7 +358,7 @@ class _SupNorm:
         if self.tabulated:
             return
         # (0, rs[0]] lies inside the first cell, so the head is cell 0's alone
-        rest = dens.cumulative_pairs(cell_lefts[1:], bp[1:])
+        rest = dens.cumulative_pairs(bp[:-1], bp[1:])
         try:
             self.head_mass, first = dens.cumulative_pairs(np.zeros(2), np.array([self.head_at, bp[0]]))
         except NonIntegrableNearZero:
@@ -416,17 +413,6 @@ class _SupNorm:
         if inner_inf > 0.0 and self.phi_inf > 0.0:
             best = max(best, self.phi_inf * inner_inf)
         return best
-
-
-def _merged_edges(grid: GeometricGrid, *fns) -> np.ndarray:
-    parts = [grid.breakpoints]
-    for fn in fns:
-        if fn is None:
-            continue
-        bp = getattr(fn, "breakpoints", None)
-        if bp is not None and len(bp):
-            parts.append(np.asarray(bp, dtype=float))
-    return np.unique(np.concatenate(parts))
 
 
 # -- the six norms ------------------------------------------------------------
@@ -543,15 +529,8 @@ def lpq_star_norm(p: float, q: float, f, grid: GeometricGrid = DEFAULT_GRID) -> 
 
 def _F_ratio_sup(fstar: PiecewiseFn, profile: WeightProfile, edges: np.ndarray):
     """Lookup t -> sup over (t, inf) of F(s)/Psi_p(s), F = cumulative f*."""
-
-    def ratio(s):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = cumulative_eval(fstar, s) / np.asarray(profile.big(s), dtype=float)
-        return np.nan_to_num(out, nan=0.0)
-
-    head = _ratio_limit(ratio, np.array([1e-9, 1e-8]) * min(1.0, float(edges[0])), "zero")
-    tail = _ratio_limit(ratio, float(edges[-1]) * np.array([1e8, 1e9]), "inf")
-    return _suffix_sup(ratio, edges, head, tail)
+    ratio = _Ratio(fstar, profile.density, 1.0 / profile.p)
+    return _suffix_sup(ratio, edges, _HEAD_PROBES * min(1.0, float(edges[0])))
 
 
 def assoc_classical(
@@ -675,9 +654,7 @@ def assoc_generalized(
         return AssociateResult(0.0, nu, fit_report, flags)
 
     if p <= 1.0:
-        locs = nu.locations
-        edges = np.unique(np.concatenate([_merged_edges(grid, fstar), locs[locs > 0.0]]))
-        total = nu.integrate(_F_ratio_sup(fstar, profile, edges))
+        total = nu.integrate(_F_ratio_sup(fstar, profile, _merged_edges(grid, fstar, nu=nu)))
         return AssociateResult(total, nu, fit_report, flags)
 
     z1 = Zeta1Fn(DecreasingFn(fstar), psi, p, grid)
@@ -685,20 +662,8 @@ def assoc_generalized(
     inner = z1.inner_integral
     if inner_denominator == "psi_p":
         density = profile.density
-
-        def integrand(s):
-            s = np.asarray(s, dtype=float)
-            F = cumulative_eval(fstar, s)
-            den = np.asarray(profile.big(s), dtype=float)
-            dv = np.asarray(density(s), dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = (F / den) ** pp * dv
-            return np.nan_to_num(out, nan=0.0)
-
-        # beyond supp f* the integrand is F_inf^{p'} psi^p / Phi^{p'/p}
-        tail = _power_tail(integrand, density, pp, 0.0, _growth_exponent(density) / p)
         edges = _merged_edges(grid, fstar, getattr(density, "fn", None))
-        inner = _SuffixIntegral(integrand, edges, tail)
+        inner = _Ratio(fstar, density, 1.0 / profile.p).suffix_integral(pp, density, edges)
 
     total = nu.integrate(lambda t: inner(max(t, 0.0)) ** (1.0 / pp))
     return AssociateResult(total, nu, fit_report, flags)
@@ -915,46 +880,16 @@ def embedding_criterion(
     flags["reduced_exponent"] = P
     flags["origin_atom"] = bool(len(nu.locations) and nu.locations[0] == 0.0)
 
-    g_num = _growth_exponent(wq)
-    g_phi = _growth_exponent(prof.density)
+    density = prof.density
 
     if P <= 1.0:
-
-        def ratio(s):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = _cumulative_at(wq, s) / np.asarray(sig(s), dtype=float)
-            return np.nan_to_num(out, nan=0.0)
-
-        edges = grid.breakpoints
-        locs = nu.locations
-        edges = np.unique(np.concatenate([edges, locs[(locs > 0.0) & (locs < edges[-1])]]))
-        head = _ratio_limit(ratio, np.array([1e-9, 1e-8]) * min(1.0, float(edges[0])), "zero")
-        diff = g_num - g_phi * expo
-        if diff > 1e-12:
-            tail = _INF
-        elif diff < -1e-12:
-            tail = 0.0
-        else:
-            tail = float(ratio(np.array([float(edges[-1]) * 1e8]))[0])
-        g = _suffix_sup(ratio, edges, head, tail)
+        edges = _merged_edges(grid, nu=nu)
+        g = _suffix_sup(_Ratio(wq, density, expo), edges, _HEAD_PROBES * min(1.0, float(edges[0])))
         tail_divergent = not math.isfinite(g(_INF))  # the sup beyond the last edge
     else:
         Pp = P / (P - 1.0)
-        density = prof.density
-
-        def integrand(s):
-            s = np.asarray(s, dtype=float)
-            W = _cumulative_at(wq, s)
-            Phi = np.asarray(prof.big_p(s), dtype=float)
-            dv = np.asarray(density(s), dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = (W / Phi) ** Pp * dv
-            return np.nan_to_num(out, nan=0.0)
-
-        # integrand ~ s^(Pp*(g_num - g_phi) + a_psi) far out
-        tail = _power_tail(integrand, density, Pp, g_num, g_phi)
         edges = _merged_edges(grid, getattr(density, "fn", None))
-        inner = _SuffixIntegral(integrand, edges, tail)
+        inner = _Ratio(wq, density).suffix_integral(Pp, density, edges)
         tail_divergent = inner.tail_end == _INF
 
         def g(t: float) -> float:

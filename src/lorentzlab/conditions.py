@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateSigma, DegenerateU
 from .grid import DEFAULT_GRID, GeometricGrid
 from .reports import ConditionReport
-from .weights import Power, PowerLog, Weight, WeightProfile, _cumulative_at, product_cumulative
+from .weights import Power, PowerLog, Weight, WeightProfile, _cell_sups, _cumulative_at, product_cumulative
 
 __all__ = [
     "SigmaFn",
@@ -36,12 +36,6 @@ _INF = math.inf
 EPS_ADMISSIBLE = 1e-2
 
 
-def _cell_sups(w: Weight, edges: np.ndarray) -> np.ndarray:
-    """sup of w over each cell (edges[k-1], edges[k]], with edges[-1] = 0."""
-    left = np.concatenate([[0.0], edges[:-1]])
-    return np.array([w.cell_sup(float(a), float(b)) for a, b in zip(left, edges)])
-
-
 def _sup_ratio_tail(v: Weight, u: Weight, T: float, U_T: float, shift: float) -> float:
     """sup over s > T of v(s) / (U(s) + shift), using the weights' tail form."""
     tpv = v.tail_power()
@@ -50,17 +44,12 @@ def _sup_ratio_tail(v: Weight, u: Weight, T: float, U_T: float, shift: float) ->
     c_v, a_v = tpv
     d_T = U_T + shift
     tpu = u.tail_power()
-    if tpu is None or tpu[0] == 0.0 or tpu[1] < -1.0:
-        # U stays bounded above
+    if tpu is None or tpu[0] == 0.0 or tpu[1] <= -1.0:
+        # U stays bounded or grows like a log: any positive power of s beats it
         if a_v > 0:
             return _INF
         return c_v * T ** a_v / d_T
     c_u, a_u = tpu
-    if a_u == -1.0:
-        # U grows like a log: any positive power of s beats it
-        if a_v > 0:
-            return _INF
-        return c_v * T ** a_v / d_T
     e = a_u + 1.0
     kappa = c_u / e
     if a_v <= 0:

@@ -10,10 +10,13 @@ with the integration-by-parts identity connecting them, and verifies the
 equivalence empirically over seeded trial families.
 
 The same two integrals against nu give the associate norms and embedding
-criteria in ``associate``, so their kernels live here once: the suffix sup
-of a ratio (``_suffix_sup``), the suffix integral (``_SuffixIntegral``:
-Gauss-Legendre panels from ``_gl_cells``, one batched integrand call per
-build, plus a ``_power_tail``), and the two-probe limit (``_ratio_limit``).
+criteria in ``associate``, so their kernels live here once: the limit rule
+at 0+ and infinity (``_limit``: exponent algebra on ``_head_growth`` and
+``_tail_growth``, with a probe read only on a tie), the ratio N/D^e of two
+integrals from zero with its integrands (``_Ratio``), the edge merge
+(``_merged_edges``), the suffix sup of a ratio (``_suffix_sup``), and the
+suffix integral (``_SuffixIntegral``: Gauss-Legendre panels from
+``_gl_cells``, one batched integrand call per build, plus a tail).
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .weights import (
     Weight,
     WeightProfile,
     _cumulative_at,
-    _growth_exponent,
     product_cumulative,
     weight_from_json,
 )
@@ -69,6 +71,8 @@ __all__ = [
 
 _INF = math.inf
 _GL_X, _GL_W = roots_legendre(20)
+_SLACK = 1e-12  # growth exponents closer than this tie
+_HEAD_PROBES = np.array([1e-9, 1e-8])  # where a tie at 0+ is read
 
 
 def _gl_cells(fn, lefts, rights) -> np.ndarray:
@@ -94,37 +98,144 @@ def _gl_cells(fn, lefts, rights) -> np.ndarray:
     return np.array([c[0] if len(c) == 1 else math.fsum(c) for c in cells])
 
 
-def _ratio_limit(ratio, ts: np.ndarray, toward: str) -> float:
-    """limsup of a nonnegative ratio toward 0+ or infinity, from two probes.
+def _order(a: float, b: float = 0.0) -> int:
+    """Sign of the growth of x^a (1 + ln x)^b as x -> inf: 1 or -1 by the
+    first exponent beyond the slack, 0 (a tie) when both lie within it."""
+    for e in (a, b):
+        if abs(e) > _SLACK:
+            return 1 if e > 0.0 else -1
+    return 0
 
-    The probes sit on the approach side, so a log-log slope pointing away
-    from the limit means the ratio blows up there and pointing toward it
-    means the ratio vanishes."""
-    r = ratio(ts)
-    if r[0] <= 0.0 and r[1] <= 0.0:
+
+def _head_growth(w: Weight, e: float = 1.0, cumulative: bool = True):
+    """(a, b) with (integral of w over (0, t])^e, or w(t)^e when not
+    cumulative, ~ c (1/t)^a (1 + ln 1/t)^b as t -> 0+, c > 0; None when w
+    vanishes near 0.  Integrating t^-1 (1 + ln 1/t)^beta raises only the log
+    power."""
+    hp = w.head_power()
+    if hp is None:
+        return None
+    a, b = hp
+    if cumulative:
+        a += 1.0
+        b += 1.0 if _order(a) == 0 else 0.0
+    return -e * a, e * b
+
+
+def _tail_growth(w: Weight, e: float = 1.0, cumulative: bool = True):
+    """(a, 0) with (integral of w over (0, s])^e, or w(s)^e when not
+    cumulative, ~ c s^a as s -> inf; None when w vanishes beyond a point,
+    which its integral never does.  Logs are not tracked there: an integral
+    that stays bounded and one that grows like ln s both give a = 0."""
+    tp = w.tail_power()
+    if tp is None or tp[0] == 0.0:
+        return (0.0, 0.0) if cumulative else None
+    a = max(tp[1] + 1.0, 0.0) if cumulative else tp[1]
+    return e * a, 0.0
+
+
+def _limit(num, den, probe) -> float:
+    """The limit rule: the limit at 0+ or inf of a ratio num/den >= 0 whose
+    terms grow like the pairs num and den of ``_head_growth`` or
+    ``_tail_growth`` there (None: vanishes near the end).  It is +inf or 0
+    when one term outgrows the other, and ``probe()``, the ratio read at
+    probe points, only when their exponents tie."""
+    if num is None:
         return 0.0
-    if not np.all(np.isfinite(r)):
+    if den is None:
         return _INF
-    slope = math.log(r[1] / r[0]) / math.log(ts[1] / ts[0]) if min(r) > 0 else 0.0
-    growing = slope < -1e-9 if toward == "zero" else slope > 1e-9
-    shrinking = slope > 1e-9 if toward == "zero" else slope < -1e-9
-    if growing:
-        return _INF
-    if shrinking:
-        return 0.0
-    return float(max(r))
+    order = _order(num[0] - den[0], num[1] - den[1])
+    return probe() if order == 0 else _INF if order > 0 else 0.0
 
 
-def _suffix_sup(ratio, edges: np.ndarray, head: float, tail: float):
+class _Ratio:
+    """s -> N(s) / D(s)^e, vectorized, with 0/0 := 0, where N and D integrate
+    num and den over (0, s].  num is a Weight or a step function such as f*,
+    whose integral comes from ``cumulative_eval``; den is a Weight.  Its
+    limits at 0+ and infinity follow the limit rule."""
+
+    def __init__(self, num, den: Weight, e: float = 1.0):
+        self.fn = num if isinstance(num, PiecewiseFn) else None
+        self.num = num if self.fn is None else Tabulated(num)
+        self.den, self.e = den, e
+
+    def _quotient(self, s):
+        N = _cumulative_at(self.num, s) if self.fn is None else cumulative_eval(self.fn, s)
+        return N / _cumulative_at(self.den, s) ** self.e
+
+    def __call__(self, s):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.nan_to_num(self._quotient(s), nan=0.0)
+
+    def integrand(self, power: float, density):
+        """s -> (N/D^e)^power * density(s), vectorized; 0/0 and 0 * inf := 0."""
+
+        def integrand(s):
+            s = np.asarray(s, dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = self._quotient(s) ** power * np.asarray(density(s), dtype=float)
+            return np.nan_to_num(out, nan=0.0)
+
+        return integrand
+
+    def limit_zero(self, probes: np.ndarray) -> float:
+        """The limit at 0+; a tie takes the max of the ratio at ``probes``."""
+        probe = lambda: float(max(self(probes)))  # noqa: E731
+        return _limit(_head_growth(self.num), _head_growth(self.den, self.e), probe)
+
+    def limit_inf(self, far: float) -> float:
+        """The limit at infinity; a tie takes the ratio at ``far``."""
+        probe = lambda: float(self(np.array([far]))[0])  # noqa: E731
+        return _limit(_tail_growth(self.num), _tail_growth(self.den, self.e), probe)
+
+    def suffix_integral(self, power: float, density: Weight, edges: np.ndarray) -> _SuffixIntegral:
+        """t -> integral over (t, infinity) of ratio^power * density.  Beyond
+        the last edge the tail is zero when the density vanishes there (the
+        last edge must lie past its support) and +inf when, by the limit rule,
+        the integrand decays no faster than 1/s; otherwise mpmath.quad
+        integrates it, one point at a time on a one-element array."""
+        integrand = self.integrand(power, density)
+        dens = _tail_growth(density, cumulative=False)
+        a = power * (_tail_growth(self.num)[0] - _tail_growth(self.den, self.e)[0])
+        diverges = dens is not None and _order(a + dens[0] + 1.0) >= 0
+
+        def tail(t: float) -> float:
+            if dens is None or diverges:
+                return 0.0 if dens is None else _INF
+            point = lambda s: float(integrand(np.array([float(s)]))[0])  # noqa: E731
+            return float(mpmath.quad(point, [t, mpmath.inf]))
+
+        return _SuffixIntegral(integrand, edges, tail)
+
+
+def _merged_edges(grid: GeometricGrid, *fns, nu: Optional[DiscreteMeasure] = None) -> np.ndarray:
+    """The grid's breakpoints merged with those of each step function or
+    tabulated weight in fns (None and weights without breakpoints are
+    skipped) and with nu's atoms past the origin, so that a suffix sup or
+    integral read at an atom starts exactly there."""
+    parts = [grid.breakpoints]
+    for fn in fns:
+        bp = getattr(fn, "breakpoints", None)
+        if bp is not None and len(bp):
+            parts.append(np.asarray(bp, dtype=float))
+    if nu is not None:
+        parts.append(nu.locations[nu.locations > 0.0])
+    return np.unique(np.concatenate(parts))
+
+
+def _suffix_sup(ratio: _Ratio, edges: np.ndarray, probes: np.ndarray):
     """Lookup t -> sup over (t, infinity) of a continuous ratio >= 0.
 
     A cell (edges[k-1], edges[k]] (the first starts at 0) takes the max of
-    its left limit (``head`` for the first cell), midpoint and right edge;
-    the sup beyond the last edge also covers a 16-point ladder over four
-    decades and the caller's limit ``tail``.  A t exactly at an edge starts
-    from the next cell, whose sup already includes the limit from the right
-    there; off-edge t conservatively include their covering cell.  The
-    lookup at t = inf is the sup beyond the last edge."""
+    its left limit, midpoint and right edge; the first cell's left limit is
+    the ratio's limit at 0+, a tie read at ``probes``.  The sup beyond the
+    last edge also covers a 16-point ladder over four decades and the limit
+    at infinity, a tie read at 1e8 times the last edge.  A t exactly at an
+    edge starts from the next cell, whose sup already includes the limit from
+    the right there; off-edge t conservatively include their covering cell.
+    The lookup at t = inf is the sup beyond the last edge."""
+    head = ratio.limit_zero(probes)
+    tail = ratio.limit_inf(float(edges[-1]) * 1e8)
     lefts = np.concatenate([[0.0], edges[:-1]])
     E = ratio(edges)
     M = ratio(0.5 * (lefts + edges))
@@ -162,26 +273,6 @@ class _SuffixIntegral:
         k = int(np.searchsorted(self.edges, t, side="left"))
         partial = float(_gl_cells(self.integrand, [t], [float(self.edges[k])])[0])
         return partial + float(self.suffix[k + 1]) + self.tail_end
-
-
-def _power_tail(integrand, density: Weight, expo: float, g_num: float, g_den: float):
-    """Tail function for _SuffixIntegral when, beyond the last edge, the
-    integrand behaves like (num/den)^expo * density with num ~ s^g_num and
-    den ~ s^g_den.  It is zero when the density vanishes there (the last
-    edge must lie past the density's support) and +inf when the integrand
-    decays no faster than 1/s; otherwise mpmath.quad integrates it, one
-    point at a time on a one-element array."""
-    tp = density.tail_power()
-    if tp is None or tp[0] == 0.0:
-        return lambda t: 0.0
-    if expo * (g_num - g_den) + tp[1] >= -1.0 - 1e-12:
-        return lambda t: _INF
-
-    def quad(t: float) -> float:
-        point = lambda s: float(integrand(np.array([float(s)]))[0])  # noqa: E731
-        return float(mpmath.quad(point, [t, mpmath.inf]))
-
-    return quad
 
 
 class _PowerOfCumulative:
@@ -273,21 +364,6 @@ class HardyProblem:
         )
 
 
-def _limit_ratio_inf(w: Weight, u: Weight, q: float, T: float) -> float:
-    """lim sup as s -> infinity of W(s)/U(s)^q from the tail powers."""
-    g_w = _growth_exponent(w)
-    g_u = _growth_exponent(u)
-    diff = g_w - q * g_u
-    if diff > 1e-12:
-        return _INF
-    if diff < -1e-12:
-        # ratio decays; the sup over (T, inf) is approached near T
-        return 0.0
-    # equal growth: evaluate the limit at a far probe
-    far = T * 1e8
-    return float(w.cumulative(0.0, far) / u.cumulative(0.0, far) ** q)
-
-
 def a1_constant(problem: HardyProblem) -> float:
     """A(1): the nu-integral of the suffix sup of W/U^q, to the power 1/q."""
     if problem.q < 1.0:
@@ -295,19 +371,9 @@ def a1_constant(problem: HardyProblem) -> float:
     nu = problem.nu
     if len(nu) == 0 and nu.tail is None:
         return 0.0
-    w, u, q = problem.w, problem.u, problem.q
-    edges = problem.grid.breakpoints
-    # refine with the atom locations so sups after an atom start exactly there
-    locs = nu.locations
-    edges = np.unique(np.concatenate([edges, locs[(locs > 0.0) & (locs < edges[-1])]]))
-
-    def ratio(t):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.nan_to_num(_cumulative_at(w, t) / _cumulative_at(u, t) ** q, nan=0.0)
-
-    head = _ratio_limit(ratio, np.array([1e-9, 1e-8]), "zero")
-    tail = _limit_ratio_inf(w, u, q, float(edges[-1]))
-    return nu.integrate(_suffix_sup(ratio, edges, head, tail)) ** (1.0 / q)
+    q = problem.q
+    sup = _suffix_sup(_Ratio(problem.w, problem.u, q), _merged_edges(problem.grid, nu=nu), _HEAD_PROBES)
+    return nu.integrate(sup) ** (1.0 / q)
 
 
 class ZetaFn:
@@ -319,25 +385,10 @@ class ZetaFn:
         self.problem = problem
         q = problem.q
         self.expo = q / (1.0 - q)
-        w, u = problem.w, problem.u
-        edges = [float(b) for b in problem.grid.breakpoints]
-        extra = getattr(w, "fn", None)
-        if extra is not None:
-            edges = sorted(set(edges) | {float(b) for b in extra.breakpoints})
-        self.edges = np.asarray(edges)
-
-        def integrand(s):
-            s = np.asarray(s, dtype=float)
-            W = _cumulative_at(w, s)
-            U = _cumulative_at(u, s)
-            wv = np.asarray(w(s), dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = (W / U) ** self.expo * wv
-            return np.nan_to_num(out, nan=0.0)
-
+        w = problem.w
+        self.edges = _merged_edges(problem.grid, getattr(w, "fn", None))
         # inner_integral(t): integral over (t, infinity) of (W/U)^(q/(1-q)) w
-        tail = _power_tail(integrand, w, self.expo, _growth_exponent(w), _growth_exponent(u))
-        self.inner_integral = _SuffixIntegral(integrand, self.edges, tail)
+        self.inner_integral = _Ratio(w, problem.u).suffix_integral(self.expo, w, self.edges)
         self.tail_divergent = self.inner_integral.tail_end == _INF
 
     def __call__(self, t: float) -> float:
@@ -421,23 +472,16 @@ def lhs_rhs(problem: HardyProblem, f) -> tuple[float, float]:
     v0 = v.limit_zero()
     if f0 > 0.0 and v0 > 0.0:
         rhs = max(rhs, f0 * v0 if v0 != _INF else _INF)
-    # tail limit: numerator P saturates for compactly supported f*
+    # tail limit: numerator P saturates for compactly supported f*, and then
+    # f_u** v -> P_inf times the limit of v/U
     P_inf = product_cumulative(fn, u, 0.0, _INF)
-    if P_inf > 0.0:
-        g_u = _growth_exponent(u)
-        tpv = v.tail_power()
-        c_v, a_v = tpv if tpv is not None else (0.0, 0.0)
-        if math.isfinite(P_inf):
-            if c_v > 0.0:
-                if abs(a_v - g_u) < 1e-12 and g_u > 0.0:
-                    far = problem.grid.t_max * 1e8
-                    rhs = max(
-                        rhs, P_inf * float(v(far)) / u.cumulative(0.0, far)
-                    )
-                elif a_v > g_u:
-                    rhs = _INF
-        else:
-            rhs = _INF if c_v > 0.0 else rhs
+    v_tail = _tail_growth(v, cumulative=False)
+    if P_inf == _INF:
+        rhs = _INF if v_tail is not None else rhs
+    elif P_inf > 0.0:
+        far = problem.grid.t_max * 1e8
+        probe = lambda: P_inf * float(v(far)) / u.cumulative(0.0, far)  # noqa: E731
+        rhs = max(rhs, _limit(v_tail, _tail_growth(u), probe))
     return lhs, rhs
 
 
@@ -472,25 +516,12 @@ class Zeta1Fn:
                 "zeta1 requires compactly supported f* (zero right tail)"
             )
         self.F_inf = cumulative_eval(fn, self.supp_end) if self.supp_end else 0.0
-        edges = sorted(
-            {float(b) for b in grid.breakpoints if b < self.supp_end}
-            | set(float(b) for b in fn.breakpoints)
-        )
-        self.edges = np.asarray(edges) if edges else np.asarray([self.supp_end])
-
-        density = self.density
-        pp = self.pp
-
-        def integrand(s):
-            s = np.asarray(s, dtype=float)
-            F = cumulative_eval(fn, s)
-            Phi = _cumulative_at(density, s)
-            dv = np.asarray(density(s), dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = (F / Phi) ** pp * dv
-            return np.nan_to_num(out, nan=0.0)
+        edges = _merged_edges(grid, fn)
+        edges = edges[edges <= self.supp_end]
+        self.edges = edges if len(edges) else np.asarray([self.supp_end])
 
         self.phi_inf = self.profile.big_p_inf()
+        integrand = _Ratio(fn, self.density).integrand(self.pp, self.density)
         self.inner_integral = _SuffixIntegral(integrand, self.edges, self._closed_tail)
 
     def _closed_tail(self, t: float) -> float:
@@ -561,21 +592,10 @@ def parts_identity_sides(
     pp = z1.pp
     e = 1.0 / (p - 1.0)
     density = z1.density
-
-    def lhs_integrand(s):
-        s = np.asarray(s, dtype=float)
-        F = cumulative_eval(fn, s)
-        Phi = _cumulative_at(density, s)
-        fv = np.asarray(fn(s), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (F / Phi) ** e * fv
-        return np.nan_to_num(out, nan=0.0)
+    lhs_integrand = _Ratio(fn, density).integrand(e, fn)
 
     t = float(t)
-    edges = [float(b) for b in z1.edges if b > t] + (
-        [z1.supp_end] if z1.supp_end > t else []
-    )
-    edges = sorted(set(edges))
+    edges = [float(b) for b in z1.edges if b > t]  # z1.edges end at supp f*
     lhs = 0.0
     for cell in _gl_cells(lhs_integrand, [t] + edges[:-1], edges):
         lhs += float(cell)

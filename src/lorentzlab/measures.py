@@ -51,7 +51,7 @@ class DiscreteMeasure:
 
     An atom may sit at the origin.  ``tail``, when present, adds the density
     ``coef * s**alpha`` on ``(cutoff, infinity)`` where ``cutoff`` is the last
-    atom location (1.0 when the atom list is empty); this is the only way a
+    atom location (1.0 when no atom lies past the origin); this is the only way a
     measure can carry infinite mass.
     """
 
@@ -94,16 +94,15 @@ class DiscreteMeasure:
 
     @property
     def tail_cutoff(self) -> float:
-        """Left endpoint of the tail density's support."""
-        return float(self.locations[-1]) if len(self) else 1.0
+        """Left endpoint of the tail density's support: the last atom, or 1.0
+        when no atom lies past the origin."""
+        return float(self.locations[-1]) if len(self) and self.locations[-1] > 0.0 else 1.0
 
     def tail_mass(self) -> float:
         if self.tail is None:
             return 0.0
         alpha, coef = self.tail.alpha, self.tail.coef
         cut = self.tail_cutoff
-        if cut == 0.0:
-            cut = 1.0  # single atom at the origin: tail starts at scale one
         if alpha >= -1.0:
             return _INF
         return coef * cut ** (alpha + 1.0) / (-alpha - 1.0)
@@ -124,8 +123,6 @@ class DiscreteMeasure:
             return 0.0
         alpha, coef = self.tail.alpha, self.tail.coef
         cut = self.tail_cutoff
-        if cut == 0.0:
-            cut = 1.0
         val = mpmath.quad(lambda s: g(float(s)) * coef * float(s) ** alpha, [cut, mpmath.inf])
         return float(val)
 
@@ -258,8 +255,6 @@ class _EquivForms:
                 right += float(np.sum(self.nu.masses[after] / self._sig_atoms[after]))
         if self.nu.tail is not None:
             cut = self.nu.tail_cutoff
-            if cut == 0.0:
-                cut = 1.0
             if t <= cut:
                 right += self._tail_G
             else:

@@ -352,15 +352,6 @@ def _cumulative_at(w: Weight, t) -> np.ndarray:
     return w.cumulative_pairs(np.zeros_like(t), t)
 
 
-def _growth_exponent(w: Weight) -> float:
-    """Exponent g with W(s) ~ s^g as s -> infinity (0 when W is bounded,
-    including weights that vanish beyond a point)."""
-    tp = w.tail_power()
-    if tp is None or tp[0] == 0.0:
-        return 0.0
-    return tp[1] + 1.0 if tp[1] > -1.0 else 0.0
-
-
 def product_cumulative(fn: PiecewiseFn, w: Weight, a: float, b):
     """Exact integral over (a, b] of fn(t) * w(t) dt.
 
@@ -399,6 +390,12 @@ def _safe_mul(x, y):
     y = np.asarray(y, float)
     out = np.where((x == 0) | (y == 0), 0.0, x * y)
     return out
+
+
+def _cell_sups(w: Weight, edges: np.ndarray) -> np.ndarray:
+    """sup of w over each cell (edges[k-1], edges[k]], the first from 0."""
+    left = np.concatenate([[0.0], edges[:-1]])
+    return np.array([w.cell_sup(float(a), float(b)) for a, b in zip(left, edges)])
 
 
 def ess_sup_weighted(fn: PiecewiseFn, w: Weight, interval=(0.0, _INF)) -> float:

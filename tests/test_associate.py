@@ -143,6 +143,10 @@ class TestAssociateClassical:
     def test_sup_branch_can_diverge(self):
         assert assoc_classical(0.5, one, chi01) == math.inf
 
+    def test_a_log_blow_up_at_zero_is_infinite(self):
+        # F/Psi_1 ~ (1 + ln 1/s)^(1e-8) as s -> 0+: too slow for any two probes
+        assert assoc_classical(1.0, PowerLog(0.0, -1e-8), chi01) == math.inf
+
 
 class TestAssociateGeneralized:
     def test_flat_case_reduces_to_an_origin_atom(self):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from lorentzlab import (
+    DiscreteMeasure,
     Power,
     Tabulated,
     embedding_criterion,
@@ -13,6 +14,15 @@ from lorentzlab import (
 )
 
 one = Power(0.0)
+
+
+def test_criterion_keeps_an_atom_past_the_last_edge(monkeypatch):
+    # P = 1: the criterion is the nu-integral of sup over s > t of min(s, 1)/s,
+    # which is 1e-6 for an atom at 1e6, past the grid's t_max = 1e4
+    nu = DiscreteMeasure([1e6], [1.0])
+    monkeypatch.setattr("lorentzlab.associate._fit_nu_for_phi", lambda *args: (nu, None))
+    res = embedding_criterion(1.0, 1.0, one, one, Tabulated(indicator(0.0, 1.0)))
+    assert res.criterion_value == pytest.approx(1e-6, rel=1e-12)
 
 
 def test_identity_embedding_has_unit_criterion():

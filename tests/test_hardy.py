@@ -24,6 +24,8 @@ from lorentzlab.hardy import (
     _GL_X,
     Zeta1Fn,
     _gl_cells,
+    _limit,
+    _Ratio,
     _SuffixIntegral,
     a1_constant,
     a2_constant,
@@ -283,3 +285,63 @@ class TestBatchedPanels:
         assert got.tolist() == want
         assert got[1] == 0.0 and got[2] == 0.0
         assert _gl_cells(fn, [], []).tolist() == []
+
+
+class TestLimitRule:
+    """The limit of N/D^e at 0+ and infinity, N and D integrals from 0, comes
+    from the weights' exponents: +inf, 0, or on a tie the ratio at the probes."""
+
+    probes = np.array([1e-9, 1e-8])
+
+    @pytest.mark.parametrize(
+        "num, den, e, want",
+        [
+            (one, one, 2.0, math.inf),
+            (Power(1.0), one, 1.0, 0.0),
+            (one, one, 1.0, 1.0),
+            # the log power decides when the powers tie, however small it is
+            (PowerLog(0.0, 1e-8), one, 1.0, math.inf),
+            (PowerLog(0.0, -1.0), one, 1.0, 0.0),
+            (PowerLog(0.5, 1.0), PowerLog(0.5, 1.0), 1.0, 1.0),
+            (PowerLog(-1.0, -2.0), one, 1.0, math.inf),  # W(t) = 1 / (1 + ln 1/t)
+            (Tabulated(PiecewiseFn([1.0], [2.0])), one, 1.0, 2.0),
+            (Tabulated(indicator(0.5, 1.0)), one, 1.0, 0.0),
+            (one, Tabulated(indicator(0.5, 1.0)), 1.0, math.inf),
+        ],
+    )
+    def test_at_zero(self, num, den, e, want):
+        got = _Ratio(num, den, e).limit_zero(self.probes)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "num, den, e, want",
+        [
+            (Power(0.5), one, 1.0, math.inf),
+            (one, Power(0.5), 1.0, 0.0),
+            (one, one, 1.0, 1.0),
+            (PowerLog(0.5, 2.0), one, 1.0, math.inf),
+            (one, PowerLog(0.5, 2.0), 1.0, 0.0),
+            (PowerLog(0.0, 1.0), one, 1.0, 1.0),  # W(s) = s + 1 past 1
+            (Tabulated(PiecewiseFn([1.0], [1.0], 2.0)), one, 1.0, 2.0),  # W(s) = 2s - 1
+            (Tabulated(chi01), one, 1.0, 0.0),
+            (one, Tabulated(chi01), 1.0, math.inf),
+        ],
+    )
+    def test_at_infinity(self, num, den, e, want):
+        got = _Ratio(num, den, e).limit_inf(1e12)
+        assert got == pytest.approx(want, rel=1e-9)
+
+    def test_a_probe_is_read_only_on_a_tie(self):
+        def probe():
+            raise AssertionError("probed without a tie")
+
+        assert _limit((1.0, 0.0), (0.5, 0.0), probe) == math.inf
+        assert _limit((0.0, -1e-8), (0.0, 0.0), probe) == 0.0
+        assert _limit(None, (0.0, 0.0), probe) == 0.0
+        assert _limit((0.0, 0.0), None, probe) == math.inf
+        assert _limit((0.0, 0.0), (5e-13, 0.0), lambda: 3.0) == 3.0  # inside the slack
+
+    def test_a1_keeps_an_atom_past_the_last_edge(self):
+        # sup over s > 1e6 of min(s, 1)/s is 1e-6; the atom lies past t_max = 1e4
+        prob = HardyProblem(1.0, one, one, Tabulated(chi01), DiscreteMeasure([1e6], [1.0]))
+        assert a1_constant(prob) == pytest.approx(1e-6, rel=1e-12)

@@ -73,6 +73,14 @@ def test_every_weight_kind_has_its_own_cumulative_pairs():
     assert missing == ["PowerLog"]
 
 
+def test_every_weight_kind_has_its_own_head_and_tail_power():
+    # the limit rule at 0+ and infinity reads these exponents, and the base
+    # class only raises NotImplementedError
+    source = (PACKAGE / "weights.py").read_text()
+    assert classes_without(source, "Weight", "head_power") == []
+    assert classes_without(source, "Weight", "tail_power") == []
+
+
 def numpy_reductions(source: str) -> list[str]:
     """Calls ``np.any(...)`` or ``np.all(...)``, as 'line N: np.name'."""
     return sorted(

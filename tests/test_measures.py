@@ -21,6 +21,11 @@ class TestDiscreteMeasure:
         assert nu.tail_mass() == 1.0
         assert nu.total_mass() == 2.5
 
+    def test_tail_after_an_origin_atom_starts_at_one(self):
+        nu = DiscreteMeasure([0.0], [0.5], tail=PowerTail(-2.0, 1.0))
+        assert nu.tail_cutoff == 1.0
+        assert nu.tail_mass() == 1.0
+
     def test_slow_tail_has_infinite_mass(self):
         nu = DiscreteMeasure([1.0], [1.0], tail=PowerTail(-1.0, 1.0))
         assert nu.tail_mass() == math.inf

@@ -55,7 +55,6 @@ from .reports import EquivReport
 from .sampling import random_decreasing
 from .weights import (
     Power,
-    Tabulated,
     Weight,
     WeightProfile,
     _cell_sups,
@@ -318,9 +317,9 @@ class _SupNorm:
     probe, the psi^p mass of each probe cell up to the last breakpoint (one
     ``cumulative_pairs`` call), the probe-to-cell index map, and the psi^p
     masses of the head (0, first probe] and of each cell for the total (psi
-    sups at p = inf).  A tabulated psi sends the head and the total through
-    ``product_cumulative`` on each application instead.  With g(0+) > 0, a
-    head r -> 0+ that blows up (by exponent algebra) gives +inf.
+    sups at p = inf), for every kind of psi.  A right value > 0 adds its
+    cells' masses as ``product_cumulative`` does.  With g(0+) > 0, a head
+    r -> 0+ that blows up (by exponent algebra) gives +inf.
     """
 
     def __init__(self, phi: Weight, p: float, psi: Weight, shape: PiecewiseFn, grid: GeometricGrid):
@@ -344,8 +343,7 @@ class _SupNorm:
         self.cell = bp.searchsorted(rs)  # probe k lies in cell k; len(bp) = beyond
         if p == _INF:
             self.probe_sup = _cell_sups(psi, rs)
-            self.cell_sup = _cell_sups(psi, bp)
-            self.tail_sup = psi.cell_sup(float(bp[-1]), _INF)
+            self.cell_sup = _cell_sups(psi, np.append(bp, _INF))  # the last cell is the right value's
             return
         self.dens = dens = psi.pow(p)
         # probe cells beyond the last breakpoint see only the right value, which
@@ -353,14 +351,10 @@ class _SupNorm:
         self.rs = rs
         self.inside = n = int((rs[1:] <= bp[-1]).sum())
         self.probe_mass = dens.cumulative_pairs(rs[:n], rs[1 : n + 1])
-        self.head_at = float(rs[0])
-        self.tabulated = isinstance(dens, Tabulated)
-        if self.tabulated:
-            return
         # (0, rs[0]] lies inside the first cell, so the head is cell 0's alone
         rest = dens.cumulative_pairs(bp[:-1], bp[1:])
         try:
-            self.head_mass, first = dens.cumulative_pairs(np.zeros(2), np.array([self.head_at, bp[0]]))
+            self.head_mass, first = dens.cumulative_pairs(np.zeros(2), np.array([rs[0], bp[0]]))
         except NonIntegrableNearZero:
             self.head_mass, first = None, 0.0  # a nonzero head value gives +inf
         self.cell_mass = np.concatenate([[first], rest])
@@ -371,29 +365,24 @@ class _SupNorm:
         p = self.p
         with np.errstate(invalid="ignore"):  # inf * 0 := 0 throughout
             if p == _INF:
-                ext = np.concatenate((values, (right_value,)))[self.cell]
-                inner = np.maximum.accumulate(np.where(ext > 0.0, ext * self.probe_sup, 0.0))
+                ext = np.concatenate((values, (right_value,)))
+                at = ext[self.cell]
+                inner = np.maximum.accumulate(np.where(at > 0.0, at * self.probe_sup, 0.0))
                 # the ess sup of psi g over (0, inf)
-                cells = np.where((values > 0) & (self.cell_sup > 0), values * self.cell_sup, 0.0)
+                cells = np.where((ext > 0) & (self.cell_sup > 0), ext * self.cell_sup, 0.0)
                 inner_inf = max(0.0, cells.max())
-                if right_value > 0 and self.tail_sup > 0:
-                    inner_inf = max(inner_inf, right_value * self.tail_sup)
             else:
                 vp = values**p
                 rvp = right_value**p
-                if self.tabulated:
-                    fpow = PiecewiseFn(self.bp, vp, rvp)
-                    head = product_cumulative(fpow, self.dens, 0.0, self.head_at)
-                    total = product_cumulative(fpow, self.dens, 0.0, _INF)
-                elif vp[0] > 0.0 and self.head_mass is None:
+                if vp[0] > 0.0 and self.head_mass is None:
                     return _INF  # nonzero head value against a non-integrable weight
-                else:
-                    head = float(vp[0] * self.head_mass) if vp[0] > 0.0 else 0.0
-                    head = 0.0 if math.isnan(head) else head
-                    cells = np.where(vp > 0.0, vp * self.cell_mass, 0.0)
-                    total = math.fsum(np.where(np.isnan(cells), 0.0, cells).tolist())
-                    if rvp > 0:
-                        total += rvp * self.dens.cumulative(float(self.bp[-1]), _INF)
+                head = float(vp[0] * self.head_mass) if vp[0] > 0.0 else 0.0
+                head = 0.0 if math.isnan(head) else head
+                cells = np.where(vp > 0.0, vp * self.cell_mass, 0.0)
+                cells = np.where(np.isnan(cells), 0.0, cells).tolist()
+                if rvp > 0:  # the cell (last breakpoint, inf), as in product_cumulative
+                    cells.append(rvp * self.dens.cumulative_pairs(self.bp[-1:], np.array([_INF]))[0])
+                total = math.fsum(cells)
                 n, rs = self.inside, self.rs
                 fv = vp[self.cell[1 : n + 1]]
                 masses = np.zeros(len(rs) - 1)

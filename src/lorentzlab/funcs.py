@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, InvertedInterval
 from .grid import GeometricGrid
 
-__all__ = ["PiecewiseFn", "indicator", "integrate", "p_norm", "pointwise_merge"]
+__all__ = ["PiecewiseFn", "indicator", "integrate", "integrate_pairs", "p_norm", "pointwise_merge"]
 
 _INF = math.inf
 
@@ -201,34 +201,39 @@ def indicator(a: float, b: float) -> PiecewiseFn:
 # -- integration -------------------------------------------------------------
 
 
+def integrate_pairs(f: PiecewiseFn, lo, hi) -> np.ndarray:
+    """Exact integrals of f over the pairs (lo_i, hi_i], 0 <= lo_i <= hi_i <= inf:
+    one (pairs x cells) overlap matrix and a ``math.fsum`` per row."""
+    lo = np.asarray(lo, float)
+    hi = np.asarray(hi, float)
+    inverted = lo > hi
+    if inverted.any():
+        i = inverted.argmax()
+        raise InvertedInterval(f"integrate over (a={lo[i]}, b={hi[i]}]")
+    if (lo < 0).any():
+        raise ValueError("integration bounds must be >= 0")
+    ov = np.minimum(f.breakpoints, hi[:, None]) - np.maximum(f.left_edges, lo[:, None])
+    cells = np.multiply(f.values, ov, out=np.zeros(ov.shape), where=ov > 0)
+    out = cells.sum(axis=1)  # exact where a row has at most one nonzero entry
+    multi = np.count_nonzero(cells, axis=1) > 1
+    out[multi] = [math.fsum(row) for row in cells[multi].tolist()]
+    if f.right_value > 0:
+        tail = (hi > f.t_max) & (lo < hi)
+        out[tail] += f.right_value * (hi[tail] - np.maximum(lo[tail], f.t_max))
+    return out
+
+
 def integrate(f: PiecewiseFn, a: float, b: float) -> float:
     """Exact integral of f over (a, b], 0 <= a <= b <= inf."""
-    if a > b:
-        raise InvertedInterval(f"integrate over (a={a}, b={b}]")
-    if a < 0:
-        raise ValueError("integration bounds must be >= 0")
-    if a == b:
-        return 0.0
-    lo = np.maximum(f.left_edges, a)
-    hi = np.minimum(f.breakpoints, b)
-    ov = hi - lo
-    sel = ov > 0
-    total = math.fsum((f.values[sel] * ov[sel]).tolist())
-    if b > f.t_max and f.right_value > 0:
-        if b == _INF:
-            return _INF
-        total += f.right_value * (b - max(a, f.t_max))
-    return total
+    return float(integrate_pairs(f, [a], [b])[0])
 
 
 def p_norm(f: PiecewiseFn, p: float, r: float = _INF) -> float:
     """||f||_{p,(0,r)} — the L_p (quasi)norm over (0, r], p in (0, inf]."""
     if p == _INF:
-        sel = f.left_edges < r
-        out = float(np.max(f.values[sel])) if sel.any() else 0.0
-        if r > f.t_max:
-            out = max(out, f.right_value)
-        return out
+        values = np.append(f.values, f.right_value)  # the right value's cell is (t_max, inf)
+        sel = np.append(f.left_edges, f.t_max) < r
+        return float(np.max(values[sel])) if sel.any() else 0.0
     if not p > 0:
         raise ValueError("p must be positive")
     total = integrate(f.powered(p), 0.0, r)

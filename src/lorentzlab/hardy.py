@@ -476,10 +476,13 @@ def lhs_rhs(problem: HardyProblem, f) -> tuple[float, float]:
     # f_u** v -> P_inf times the limit of v/U
     P_inf = product_cumulative(fn, u, 0.0, _INF)
     v_tail = _tail_growth(v, cumulative=False)
-    if P_inf == _INF:
-        rhs = _INF if v_tail is not None else rhs
+    far = problem.grid.t_max * 1e8
+    if P_inf == _INF and f0 == _INF:
+        rhs = _INF if v_tail is not None else rhs  # f_u** = +inf from some point on
+    elif P_inf == _INF:
+        # P ~ f*(inf) U, so f_u** v -> f*(inf) times the limit of v
+        rhs = max(rhs, fn.right_value * _limit(v_tail, (0.0, 0.0), lambda: float(v(far))))
     elif P_inf > 0.0:
-        far = problem.grid.t_max * 1e8
         probe = lambda: P_inf * float(v(far)) / u.cumulative(0.0, far)  # noqa: E731
         rhs = max(rhs, _limit(v_tail, _tail_growth(u), probe))
     return lhs, rhs

@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NonRearrangeable
+from .errors import ConfigError, DegenerateU, NonRearrangeable
 from .funcs import PiecewiseFn
-from .weights import Weight, product_cumulative
+from .weights import Weight, _cumulative_at, product_cumulative
 
 __all__ = [
     "distribution",
@@ -132,22 +132,22 @@ def maximal(f_star: DecreasingFn):
 
 
 def weighted_maximal(f_star: DecreasingFn, u: Weight):
-    """f**_u(t) = integral_0^t f* u / U(t) with U(t) = integral_0^t u."""
+    """f**_u(t) = integral_0^t f* u / U(t) with U(t) = integral_0^t u; an array t
+    takes one ``product_cumulative`` and one ``cumulative_pairs`` call."""
 
     fn = f_star.fn
 
     def f_u(t):
-        if np.asarray(t).ndim == 0:
-            tt = float(t)
-            if tt <= 0:
-                raise ValueError("defined for t > 0")
-            den = u.cumulative(0.0, tt)
-            if den == 0.0 or den == _INF:
-                from .errors import DegenerateU
-
-                raise DegenerateU(f"U({tt}) = {den}")
-            return product_cumulative(fn, u, 0.0, tt) / den
-        return np.array([f_u(float(x)) for x in np.asarray(t, float)])
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        if (t_arr <= 0).any():
+            raise ValueError("defined for t > 0")
+        den = _cumulative_at(u, t_arr)
+        bad = (den == 0.0) | (den == _INF)
+        if bad.any():
+            i = bad.argmax()
+            raise DegenerateU(f"U({t_arr[i]}) = {den[i]}")
+        out = product_cumulative(fn, u, 0.0, t_arr) / den
+        return float(out[0]) if np.asarray(t).ndim == 0 else out
 
     return f_u
 

@@ -6,6 +6,10 @@ weighted essential suprema), pointwise powers (symbolic kinds are closed
 under them), and limits at 0+ and infinity. A cumulative-from-zero query on
 a weight that is not locally integrable at the origin raises
 NonIntegrableNearZero; divergence at infinity reports +inf.
+
+``product_cumulative`` is the one way a step function is integrated against
+any kind of weight; a tabulated weight's cell masses come from funcs.py's
+overlap kernel ``integrate_pairs``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import mpmath
 import numpy as np
 
 from .errors import ConfigError, InvertedInterval, NonIntegrableNearZero
-from .funcs import PiecewiseFn, integrate, pointwise_merge
+from .funcs import PiecewiseFn, integrate, integrate_pairs
 
 __all__ = [
     "Weight",
@@ -259,9 +263,9 @@ class PowerLog(Weight):
 class Tabulated(Weight):
     """Weight backed by a piecewise-constant function.
 
-    ``cumulative_pairs`` equals ``integrate(self.fn, a, b)`` pair by pair,
-    bit for bit: it builds the (pairs x cells) overlap matrix once and takes
-    the ``math.fsum`` of each row that has more than one nonzero entry.
+    ``cumulative`` and ``cumulative_pairs`` are ``integrate`` and
+    ``integrate_pairs`` of the step function, the one overlap kernel of
+    funcs.py, so they agree bit for bit.
     """
 
     kind = "tabulated"
@@ -276,33 +280,16 @@ class Tabulated(Weight):
         return integrate(self.fn, a, b)
 
     def cumulative_pairs(self, lo, hi):
-        f = self.fn
-        lo = np.asarray(lo, float)
-        hi = np.asarray(hi, float)
-        if (lo > hi).any():
-            raise InvertedInterval("cumulative_pairs over an inverted pair")
-        if (lo < 0).any():
-            raise ValueError("integration bounds must be >= 0")
-        ov = np.minimum(f.breakpoints, hi[:, None]) - np.maximum(f.left_edges, lo[:, None])
-        cells = np.multiply(f.values, ov, out=np.zeros(ov.shape), where=ov > 0)
-        out = cells.sum(axis=1)  # exact where a row has at most one nonzero entry
-        multi = np.count_nonzero(cells, axis=1) > 1
-        out[multi] = [math.fsum(row) for row in cells[multi].tolist()]
-        if f.right_value > 0:
-            tail = (hi > f.t_max) & (lo < hi)
-            out[tail] += f.right_value * (hi[tail] - np.maximum(lo[tail], f.t_max))
-        return out
+        return integrate_pairs(self.fn, lo, hi)
 
     def pow(self, e):
         return Tabulated(self.fn.powered(e))
 
     def cell_sup(self, lo, hi):
         f = self.fn
-        sel = (f.left_edges < hi) & (f.breakpoints > lo)
-        out = float(np.max(f.values[sel])) if np.any(sel) else 0.0
-        if hi > f.t_max:
-            out = max(out, f.right_value)
-        return out
+        values = np.append(f.values, f.right_value)  # the right value's cell is (t_max, inf)
+        sel = (np.append(f.left_edges, f.t_max) < hi) & (np.append(f.breakpoints, _INF) > lo)
+        return float(np.max(values[sel])) if sel.any() else 0.0
 
     def limit_zero(self):
         return float(self.fn.values[0])
@@ -353,43 +340,30 @@ def _cumulative_at(w: Weight, t) -> np.ndarray:
 
 
 def product_cumulative(fn: PiecewiseFn, w: Weight, a: float, b):
-    """Exact integral over (a, b] of fn(t) * w(t) dt.
+    """Exact integral over (a, b] of fn(t) * w(t) dt, for every kind of weight.
 
-    Piecewise-constant times a weight: each cell contributes value * W(cell),
-    with W exact per kind; 0 * inf is treated as 0 (measure convention).
-    An array b gives one integral per point, each equal to the float call:
-    the (points x cells) products come from one ``w.cumulative_pairs`` call
-    and each point's value is the ``math.fsum`` of its row.
+    Each cell, the right value's (t_max, inf) among them, contributes
+    value * W(cell); 0 * inf is treated as 0 (measure convention).  An array
+    b gives one integral per point, each equal to the float call: the
+    (points x cells) products come from one ``w.cumulative_pairs`` call and
+    each point's value is the ``math.fsum`` of its row.
     """
     b_arr = np.asarray(b, dtype=float)
     bs = b_arr.reshape(-1)
     if (bs < a).any():
         raise InvertedInterval(f"product_cumulative over ({a}, {b}]")
-    if isinstance(w, Tabulated):
-        prod = Tabulated(pointwise_merge(fn, w.fn, _safe_mul))
-        out = prod.cumulative_pairs(np.full(bs.shape, float(a)), bs)
-    else:
-        lo = np.maximum(fn.left_edges, a)
-        hi = np.minimum(fn.breakpoints, bs[:, None])
-        rows, cols = ((hi > lo) & (fn.values > 0)).nonzero()
-        cells = np.zeros(hi.shape)
-        if len(cols):
-            dw = w.cumulative_pairs(lo[cols], hi[rows, cols])
-            with np.errstate(invalid="ignore"):
-                prod = fn.values[cols] * dw
-            cells[rows, cols] = np.where(np.isnan(prod), 0.0, prod)  # inf * 0 := 0
-        out = np.array([math.fsum(row) for row in cells.tolist()])
-        if fn.right_value > 0:
-            for i in (bs > fn.t_max).nonzero()[0]:
-                out[i] += fn.right_value * w.cumulative(max(a, fn.t_max), float(bs[i]))
+    values = np.concatenate((fn.values, (fn.right_value,)))
+    lo = np.maximum(np.concatenate(((0.0,), fn.breakpoints)), a)
+    hi = np.minimum(np.concatenate((fn.breakpoints, (_INF,))), bs[:, None])
+    rows, cols = ((hi > lo) & (values > 0)).nonzero()
+    cells = np.zeros(hi.shape)
+    if len(cols):
+        dw = w.cumulative_pairs(lo[cols], hi[rows, cols])
+        with np.errstate(invalid="ignore"):
+            prod = values[cols] * dw
+        cells[rows, cols] = np.where(np.isnan(prod), 0.0, prod)  # inf * 0 := 0
+    out = np.array([math.fsum(row) for row in cells.tolist()])
     return out if b_arr.ndim else float(out[0])
-
-
-def _safe_mul(x, y):
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    out = np.where((x == 0) | (y == 0), 0.0, x * y)
-    return out
 
 
 def _cell_sups(w: Weight, edges: np.ndarray) -> np.ndarray:
@@ -405,17 +379,14 @@ def ess_sup_weighted(fn: PiecewiseFn, w: Weight, interval=(0.0, _INF)) -> float:
         raise InvertedInterval(f"ess_sup_weighted over ({lo_b}, {hi_b}]")
     if lo_b == hi_b:
         return 0.0
-    lo = np.maximum(fn.left_edges, lo_b)
-    hi = np.minimum(fn.breakpoints, hi_b)
+    values = np.append(fn.values, fn.right_value)  # the right value's cell is (t_max, inf)
+    lo = np.maximum(np.append(fn.left_edges, fn.t_max), lo_b)
+    hi = np.minimum(np.append(fn.breakpoints, _INF), hi_b)
     best = 0.0
-    for j in np.nonzero((hi > lo) & (fn.values > 0))[0]:
+    for j in np.nonzero((hi > lo) & (values > 0))[0]:
         ws = w.cell_sup(float(lo[j]), float(hi[j]))
         if ws > 0:
-            best = max(best, fn.values[j] * ws)
-    if hi_b > fn.t_max and fn.right_value > 0:
-        ws = w.cell_sup(max(lo_b, fn.t_max), hi_b)
-        if ws > 0:
-            best = max(best, fn.right_value * ws)
+            best = max(best, values[j] * ws)
     return best
 
 

@@ -140,6 +140,14 @@ def test_lhs_rhs_pinned_and_homogeneous():
         assert r1 == pytest.approx(lam * r0, rel=1e-12)
 
 
+def test_lhs_rhs_tail_of_an_unbounded_f_is_f_at_infinity_times_the_limit_of_v():
+    # f = 2 on (0, 1], 1 beyond: P ~ f(inf) U, so f_u** v -> 1 * lim v
+    d0 = DiscreteMeasure([0.0], [1.0])
+    f = PiecewiseFn([1.0], [2.0], right_value=1.0)
+    assert lhs_rhs(HardyProblem(1.0, one, one, Tabulated(chi01), d0), f) == (2.0, 2.0)
+    assert lhs_rhs(HardyProblem(1.0, one, Power(0.5), Tabulated(chi01), d0), f)[1] == math.inf
+
+
 class TestCallCounts:
     """The prefix integrals of lhs_rhs and the cumulatives of a ZetaFn build
     are batched: the number of calls does not grow with the point count."""

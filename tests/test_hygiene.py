@@ -105,6 +105,6 @@ def test_no_numpy_reductions_on_the_small_array_paths():
     # on every construction and evaluation
     found = {
         name: numpy_reductions((PACKAGE / name).read_text())
-        for name in ("funcs.py", "rearrangement.py")
+        for name in ("funcs.py", "rearrangement.py", "weights.py")
     }
-    assert found == {"funcs.py": [], "rearrangement.py": []}
+    assert found == {"funcs.py": [], "rearrangement.py": [], "weights.py": []}

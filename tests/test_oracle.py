@@ -192,6 +192,15 @@ class TestSupOperator:
                 h = PiecewiseFn(g.breakpoints, w, g.right_value)
                 assert op(w, g.right_value) == reference_sup_norm(*sup, h, DEFAULT_GRID)
 
+    def test_a_tabulated_psi_is_applied_from_its_build_masses(self, monkeypatch):
+        def per_application(*args):
+            raise AssertionError("an application integrated the step function again")
+
+        monkeypatch.setattr(A, "product_cumulative", per_application)
+        sup = A._sup_family(SPECS[10])
+        for g in _shapes(37, 4):
+            A._SupNorm(*sup, g, DEFAULT_GRID)(g.values, g.right_value)
+
     def test_is_the_norm_of_the_sup_families(self):
         for spec in SPECS:
             for g in _shapes(31, 4):

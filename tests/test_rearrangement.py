@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import step_functions
-from lorentzlab import PiecewiseFn, indicator, p_norm
+from lorentzlab import PiecewiseFn, indicator, p_norm, rearrangement
 from lorentzlab.errors import DegenerateU, NonRearrangeable
 from lorentzlab.rearrangement import (
     DecreasingFn,
@@ -19,7 +19,7 @@ from lorentzlab.rearrangement import (
     weak_norm,
     weighted_maximal,
 )
-from lorentzlab.weights import Power, Tabulated
+from lorentzlab.weights import Power, PowerLog, Tabulated
 
 chi01 = indicator(0.0, 1.0)
 
@@ -112,6 +112,40 @@ class TestWeightedMaximal:
         mu = weighted_maximal(fs, Tabulated(indicator(1.0, 2.0)))
         with pytest.raises(DegenerateU):
             mu(0.5)
+
+    @pytest.mark.parametrize(
+        "u",
+        [Power(0.0), Power(0.5), Power(-0.5), PowerLog(0.2, 1.0), Tabulated(PiecewiseFn([0.3, 5.0], [2.0, 0.5], 0.25))],
+        ids=["flat", "power", "singular", "powerlog", "tabulated"],
+    )
+    def test_an_array_t_equals_the_float_calls(self, u):
+        t = np.array([1e-3, 0.05, 0.5, 1.0, 1.7, 3.0, 40.0, 1e3])
+        for f in (chi01, PiecewiseFn([0.5, 2.0], [3.0, 1.0]), PiecewiseFn([0.1, 2.0], [3.0, 1.0], 0.5)):
+            mu = weighted_maximal(decreasing_rearrangement(f), u)
+            assert mu(t).tolist() == [mu(float(x)) for x in t]
+
+    def test_an_array_t_takes_one_call_for_each_integral(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(rearrangement, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("product_cumulative", "_cumulative_at"):
+            monkeypatch.setattr(rearrangement, name, counted(name))
+        mu = weighted_maximal(decreasing_rearrangement(chi01), Power(0.5))
+        mu(np.geomspace(1e-3, 1e3, 50))
+        assert sorted(calls) == ["_cumulative_at", "product_cumulative"]
+
+    def test_u_zero_or_infinite_at_any_point_raises(self):
+        fs = decreasing_rearrangement(chi01)
+        for u, t in (
+            (Tabulated(indicator(1.0, 2.0)), [1.5, 0.5, 3.0]),  # U(0.5) = 0
+            (Tabulated(PiecewiseFn([1.0, 2.0], [1.0, math.inf])), [0.5, 1.5]),  # U(1.5) = inf
+        ):
+            mu = weighted_maximal(fs, u)
+            with pytest.raises(DegenerateU):
+                mu(np.array(t))
 
 
 def test_weak_norm_pinned():

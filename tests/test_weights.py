@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import lorentzlab.funcs
 import lorentzlab.weights
 from conftest import decreasing_corpus, step_corpus
 from lorentzlab import (
@@ -17,6 +18,7 @@ from lorentzlab import (
     ess_sup_weighted,
     indicator,
     integrate,
+    pointwise_merge,
     power_integral,
     product_cumulative,
     weight_from_json,
@@ -195,6 +197,38 @@ class TestProductCumulative:
                 want = [product_cumulative(f, w, a, float(t)) for t in b]
                 assert product_cumulative(f, w, a, b).tolist() == want
                 assert product_cumulative(f, w, a, b[:0]).tolist() == []
+
+    def test_a_tabulated_weight_takes_one_cumulative_pairs_call_and_no_merge(self, monkeypatch):
+        w = Tabulated(PiecewiseFn([0.3, 5.0], [2.0, 0.5], 0.25))
+        calls = []
+        real = Tabulated.cumulative_pairs
+
+        def counted(self, lo, hi):
+            calls.append(self is w)
+            return real(self, lo, hi)
+
+        def merge(*args):
+            raise AssertionError("product_cumulative merged the step functions")
+
+        monkeypatch.setattr(Tabulated, "cumulative_pairs", counted)
+        for module in (lorentzlab.funcs, lorentzlab.weights):
+            monkeypatch.setattr(module, "pointwise_merge", merge, raising=False)
+        for f in _corpus_cells()[:-1]:
+            calls.clear()
+            product_cumulative(f, w, 0.0, np.append(f.breakpoints, [2.0 * f.t_max, math.inf]))
+            assert calls == [True]
+
+    def test_a_tabulated_weight_agrees_with_the_merged_product(self):
+        # the reference: integrate the cell-by-cell product on the union breakpoints
+        rng = np.random.default_rng(9)
+        for w in (Tabulated(PiecewiseFn([0.3, 5.0], [2.0, 0.5], 0.25)), Tabulated(indicator(0.1, 10.0))):
+            for f in _corpus_cells()[:-1]:
+                merged = pointwise_merge(f, w.fn, np.multiply)
+                for a in (0.0, float(f.breakpoints[0])):
+                    ends = np.concatenate([f.breakpoints[f.breakpoints > a], a + rng.uniform(0, 2 * f.t_max, 3), [math.inf]])
+                    for b in ends.tolist():
+                        want = integrate(merged, a, b)
+                        assert product_cumulative(f, w, a, b) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_array_b_below_a_is_inverted(self):
         with pytest.raises(InvertedInterval):

@@ -11,14 +11,11 @@ built from the ratio s f**(s) / Psi_p(s).  The duality oracle maximizes the
 pairing integral f* g* over candidate nonincreasing g divided by ||g||,
 certifying a lower bound on the same associate value by an independent route.
 
-Two deliberate normalization choices, both surfaced in result flags:
-
-* in the p > 1 branch the inner ratio divides by Psi_p(s)^p (only this choice
-  reproduces L_p self-duality when psi is constant: Psi_p^p(s) = s turns the
-  ratio into f**); dividing by Psi_p(s) itself is available behind
-  ``inner_denominator="psi_p"`` for comparison;
-* the p > 1 closed forms carry an outer exponent 1/p' so the value is
-  positively homogeneous of degree 1 in f.
+One normalization serves every closed form: in the p > 1 branch the inner
+ratio divides by Psi_p(s)^p (Psi_p^p(s) = s for constant psi turns the ratio
+into f**, which reproduces L_p self-duality), and the outer exponent 1/p'
+makes the value positively homogeneous of degree 1 in f.  The classical
+Lorentz space is the case nu = the unit atom at 0 of the same formula.
 """
 
 from __future__ import annotations
@@ -202,24 +199,15 @@ class GenLorentz(NormSpec):
 
 @dataclass(frozen=True, repr=False)
 class GenClassicalLorentz(NormSpec):
-    """sup_{r>0} phi(r) ||psi f*||_{p,(0,r)}.
-
-    ``hypotheses_hold`` records, at construction, whether phi is nonincreasing
-    with phi(r) r^{1/p} nondecreasing on the default grid — the monotonicity
-    pair under which the closed-form associate norm below is valid.
-    """
+    """sup_{r>0} phi(r) ||psi f*||_{p,(0,r)}."""
 
     p: float
     psi: Weight
     phi: Weight
-    hypotheses_hold: bool = field(init=False)
-
     family = "gen_classical_lorentz"
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_exponent("p", self.p))
-        ok, _ = _phi_hypotheses(self.phi, self.p, DEFAULT_GRID)
-        object.__setattr__(self, "hypotheses_hold", ok)
 
     def to_json(self):
         return {
@@ -227,7 +215,6 @@ class GenClassicalLorentz(NormSpec):
             "p": _num_to_json(self.p),
             "psi": self.psi.to_json(),
             "phi": self.phi.to_json(),
-            "hypotheses_hold": bool(self.hypotheses_hold),
         }
 
 
@@ -516,16 +503,29 @@ def lpq_star_norm(p: float, q: float, f, grid: GeometricGrid = DEFAULT_GRID) -> 
 # -- closed-form associate norms ----------------------------------------------
 
 
-def _F_ratio_sup(fstar: PiecewiseFn, profile: WeightProfile, edges: np.ndarray):
-    """Lookup t -> sup over (t, inf) of F(s)/Psi_p(s), F = cumulative f*."""
-    ratio = _Ratio(fstar, profile.density, 1.0 / profile.p)
-    return _suffix_sup(ratio, edges, _HEAD_PROBES * min(1.0, float(edges[0])))
+_ORIGIN = DiscreteMeasure([0.0], [1.0])  # the unit atom at 0
+
+
+def _branch_integral(p: float, psi: Weight, fstar: PiecewiseFn, nu: DiscreteMeasure,
+                     grid: GeometricGrid) -> float:
+    """The integral against nu of the branch formula for nonzero f*:
+
+      0 < p <= 1:  t -> sup_{s>t} s f**(s)/Psi_p(s)
+      1 < p:       t -> (integral_t^inf (s f**/Psi_p^p)^{p'} psi^p)^{1/p'}
+    """
+    if p <= 1.0:
+        edges = _merged_edges(grid, fstar, nu=nu)
+        ratio = _Ratio(fstar, psi.pow(p), 1.0 / p)
+        return nu.integrate(_suffix_sup(ratio, edges, _HEAD_PROBES * min(1.0, float(edges[0]))))
+    z1 = Zeta1Fn(DecreasingFn(fstar), psi, p, grid)
+    return nu.integrate(lambda t: z1.inner_integral(max(t, 0.0)) ** (1.0 / z1.pp))
 
 
 def assoc_classical(
     p: float, psi: Weight, f, grid: GeometricGrid = DEFAULT_GRID
 ) -> float:
-    """Closed-form associate norm of the classical Lorentz space ||psi f*||_p.
+    """Closed-form associate norm of the classical Lorentz space ||psi f*||_p:
+    the branch formula of ``assoc_generalized`` with nu the unit atom at 0.
 
     For 0 < p <= 1: sup_{t>0} t f**(t) / Psi_p(t).  For 1 < p < infinity:
     (integral of (t f**/Psi_p^p)^{p'} psi^p dt)^{1/p'}, the outer 1/p' making
@@ -536,28 +536,28 @@ def assoc_classical(
     fstar = _rearranged(f)
     if _is_zero(fstar):
         return 0.0
-    profile = WeightProfile(psi, p)
-    if p <= 1.0:
-        return _F_ratio_sup(fstar, profile, _merged_edges(grid, fstar))(0.0)
-    z1 = Zeta1Fn(DecreasingFn(fstar), psi, p, grid)
-    return z1.inner_integral(0.0) ** (1.0 / z1.pp)
+    return _branch_integral(p, psi, fstar, _ORIGIN, grid)
 
 
 _FIT_CACHE: dict[str, tuple[DiscreteMeasure, EquivReport]] = {}
 
 
-def _phi_hypotheses(phi: Weight, p: float, grid: GeometricGrid) -> tuple[bool, dict]:
-    """phi nonincreasing and phi(r) r^{1/p} nondecreasing, on the grid."""
+def _phi_hypotheses(phi: Weight, p: float, grid: GeometricGrid) -> dict:
+    """The flags of phi nonincreasing and phi(r) r^{1/p} nondecreasing, on
+    the grid; raises HypothesisViolated unless both hold."""
     t = grid.breakpoints
     pv = np.asarray(phi(t), dtype=float)
     slack = 1.0 + 1e-9
     noninc = bool(np.all(pv[1:] <= pv[:-1] * slack))
     rising = pv * t ** _inv(p)
     nondec = bool(np.all(rising[1:] * slack >= rising[:-1]))
-    return noninc and nondec, {
-        "phi_nonincreasing": noninc,
-        "phi_times_root_nondecreasing": nondec,
-    }
+    flags = {"phi_nonincreasing": noninc, "phi_times_root_nondecreasing": nondec}
+    if not (noninc and nondec):
+        raise HypothesisViolated(
+            "phi must be nonincreasing with phi(r) r^{1/p} nondecreasing; "
+            f"grid check gave {flags}"
+        )
+    return flags
 
 
 def _fit_nu_for_phi(
@@ -581,14 +581,14 @@ class AssociateResult:
 
     value: float
     nu_used: DiscreteMeasure
-    fit_report: Optional[EquivReport]
+    fit_report: EquivReport
     boundary_flags: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
             "value": self.value,
             "nu_used": self.nu_used.to_json(),
-            "fit_report": None if self.fit_report is None else self.fit_report.to_json(),
+            "fit_report": self.fit_report.to_json(),
             "boundary_flags": self.boundary_flags,
         }
 
@@ -599,9 +599,6 @@ def assoc_generalized(
     phi: Weight,
     f,
     grid: GeometricGrid = DEFAULT_GRID,
-    *,
-    inner_denominator: str = "psi_p_pth_power",
-    nu: Optional[DiscreteMeasure] = None,
 ) -> AssociateResult:
     """Closed-form associate norm of sup_r phi(r) ||psi f*||_{p,(0,r)}.
 
@@ -611,51 +608,17 @@ def assoc_generalized(
 
       0 < p <= 1:  integral of sup_{s>t} s f**(s)/Psi_p(s) dnu(t)
       1 < p:       integral of (integral_t^inf (s f**/Psi_p^p)^{p'} psi^p)^{1/p'} dnu(t)
-
-    ``inner_denominator="psi_p"`` switches the p > 1 inner ratio to divide by
-    Psi_p(s) instead of Psi_p(s)^p (comparison variant; not degree-1
-    homogeneous in psi).
     """
     if not (0.0 < p < _INF):
         raise ConfigError("assoc_generalized needs p in (0, inf)")
-    if inner_denominator not in ("psi_p_pth_power", "psi_p"):
-        raise ConfigError(f"unknown inner_denominator {inner_denominator!r}")
-    ok, hyp_flags = _phi_hypotheses(phi, p, grid)
-    if not ok:
-        raise HypothesisViolated(
-            "phi must be nonincreasing with phi(r) r^{1/p} nondecreasing; "
-            f"grid check gave {hyp_flags}"
-        )
-    profile = WeightProfile(psi, p)
-    fit_report: Optional[EquivReport] = None
-    if nu is None:
-        key = json.dumps(
-            [phi.to_json(), psi.to_json(), p, grid.to_json()], sort_keys=True
-        )
-        nu, fit_report = _fit_nu_for_phi(phi, profile, key, grid)
-
-    fstar = _rearranged(f)
-    flags = dict(hyp_flags)
-    flags["inner_denominator"] = inner_denominator
+    flags = _phi_hypotheses(phi, p, grid)
+    key = json.dumps([phi.to_json(), psi.to_json(), p, grid.to_json()], sort_keys=True)
+    nu, fit_report = _fit_nu_for_phi(phi, WeightProfile(psi, p), key, grid)
     flags["homogeneity_corrected"] = p > 1.0
     flags["origin_atom"] = bool(len(nu.locations) and nu.locations[0] == 0.0)
-    if _is_zero(fstar):
-        return AssociateResult(0.0, nu, fit_report, flags)
-
-    if p <= 1.0:
-        total = nu.integrate(_F_ratio_sup(fstar, profile, _merged_edges(grid, fstar, nu=nu)))
-        return AssociateResult(total, nu, fit_report, flags)
-
-    z1 = Zeta1Fn(DecreasingFn(fstar), psi, p, grid)
-    pp = z1.pp
-    inner = z1.inner_integral
-    if inner_denominator == "psi_p":
-        density = profile.density
-        edges = _merged_edges(grid, fstar, getattr(density, "fn", None))
-        inner = _Ratio(fstar, density, 1.0 / profile.p).suffix_integral(pp, density, edges)
-
-    total = nu.integrate(lambda t: inner(max(t, 0.0)) ** (1.0 / pp))
-    return AssociateResult(total, nu, fit_report, flags)
+    fstar = _rearranged(f)
+    value = 0.0 if _is_zero(fstar) else _branch_integral(p, psi, fstar, nu, grid)
+    return AssociateResult(value, nu, fit_report, flags)
 
 
 # -- brute-force duality oracle -----------------------------------------------
@@ -806,7 +769,7 @@ class EmbeddingResult:
     criterion_value: float
     holds: bool
     nu_used: DiscreteMeasure
-    fit_report: Optional[EquivReport]
+    fit_report: EquivReport
     boundary_flags: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -814,7 +777,7 @@ class EmbeddingResult:
             "criterion_value": self.criterion_value,
             "holds": bool(self.holds),
             "nu_used": self.nu_used.to_json(),
-            "fit_report": None if self.fit_report is None else self.fit_report.to_json(),
+            "fit_report": self.fit_report.to_json(),
             "boundary_flags": self.boundary_flags,
         }
 
@@ -847,12 +810,7 @@ def embedding_criterion(
     for name, val in (("p", p), ("q", q)):
         if not (0.0 < val < _INF):
             raise ConfigError(f"{name} must lie in (0, inf)")
-    ok, hyp_flags = _phi_hypotheses(phi, p, grid)
-    if not ok:
-        raise HypothesisViolated(
-            "phi must be nonincreasing with phi(r) r^{1/p} nondecreasing; "
-            f"grid check gave {hyp_flags}"
-        )
+    flags = _phi_hypotheses(phi, p, grid)
     P = p / q
     prof = WeightProfile(psi, p)  # big_p = Phi = integral psi^p
     expo = q / p
@@ -865,7 +823,6 @@ def embedding_criterion(
     )
     nu, fit_report = _fit_nu_for_phi(phi, sig, key, grid)
     wq = w.pow(q)
-    flags = dict(hyp_flags)
     flags["reduced_exponent"] = P
     flags["origin_atom"] = bool(len(nu.locations) and nu.locations[0] == 0.0)
 
@@ -895,7 +852,6 @@ def empirical_embedding_check(
     psi: Weight,
     phi: Weight,
     w: Weight,
-    sampler: Optional[Callable] = None,
     n_trials: int = 60,
     seed: int = 0,
     grid: GeometricGrid = DEFAULT_GRID,
@@ -911,11 +867,10 @@ def empirical_embedding_check(
     tgt = ClassicalLorentz(q, w)
     rng = np.random.default_rng(seed)
     sweep = np.geomspace(grid.t_min, grid.t_max, 17)
-    make = sampler if sampler is not None else random_decreasing
     trials: list[tuple[str, PiecewiseFn]] = [
         (f"indicator[a={float(a)!r}]", indicator(0.0, float(a))) for a in sweep
     ]
-    trials.extend((f"random[{i}]", make(rng)) for i in range(n_trials))
+    trials.extend((f"random[{i}]", random_decreasing(rng)) for i in range(n_trials))
 
     lo, hi = _INF, 0.0
     lo_w = hi_w = None

@@ -59,7 +59,6 @@ from .grid import DEFAULT_GRID, GeometricGrid
 from .hardy import HardyProblem, a1_constant, a2_constant, verify_reverse_hardy
 from .measures import DiscreteMeasure, fit_representation_measure
 from .rearrangement import decreasing_rearrangement
-from .sampling import random_decreasing
 from .weights import Power, PowerLog, Tabulated, Weight, weight_from_json
 
 __all__ = [
@@ -370,20 +369,15 @@ def norm(spec_text: str, f_text: str, grid_text: Optional[str], fmt: str,
 @click.option("--psi", "psi_text", default="power:0", show_default=True, metavar="LITERAL")
 @click.option("--phi", "phi_text", default="power:0", show_default=True, metavar="LITERAL")
 @click.option("--f", "f_text", required=True, metavar="LITERAL", help="Function to measure.")
-@click.option("--inner-denominator", type=click.Choice(["psi_p_pth_power", "psi_p"]),
-              default="psi_p_pth_power", show_default=True,
-              help="Normalization of the inner quotient on the p > 1 branch.")
 @_common_options
-def assoc(p: float, psi_text: str, phi_text: str, f_text: str, inner_denominator: str,
+def assoc(p: float, psi_text: str, phi_text: str, f_text: str,
           grid_text: Optional[str], fmt: str, out: Optional[str]) -> None:
     """Closed-form associate norm on the psi/phi-weighted Lorentz space."""
     grid = _grid_from_text(grid_text)
     psi = _weight_from_literal(psi_text)
     phi = _weight_from_literal(phi_text)
     f = _fn_from_literal(f_text, grid)
-    result = assoc_generalized(
-        p, psi, phi, f, grid, inner_denominator=inner_denominator
-    )
+    result = assoc_generalized(p, psi, phi, f, grid)
     payload = _payload(
         "assoc",
         p=p,
@@ -549,7 +543,7 @@ def embed(p: float, q: float, psi_text: str, phi_text: str, w_text: str, trials:
     ]
     if trials > 0:
         report = empirical_embedding_check(
-            p, q, psi, phi, w, random_decreasing, n_trials=trials, seed=seed, grid=grid
+            p, q, psi, phi, w, n_trials=trials, seed=seed, grid=grid
         )
         payload["empirical"] = report.to_json()
         rows.append(("empirical_upper", "", report.upper))

@@ -323,7 +323,6 @@ class HardyProblem:
         v: Weight,
         w: Weight,
         grid: GeometricGrid = DEFAULT_GRID,
-        **fit_kwargs,
     ) -> "HardyProblem":
         sig = sigma_of(u, v, grid)
         u_q = _PowerOfCumulative(u, q)
@@ -333,7 +332,7 @@ class HardyProblem:
             vals = u_q(t_arr) / np.asarray(sig(t_arr), dtype=float) ** q
             return float(vals[0]) if np.asarray(t).ndim == 0 else vals
 
-        nu, report = fit_representation_measure(target, u_q, grid, **fit_kwargs)
+        nu, report = fit_representation_measure(target, u_q, grid)
         prob = cls(q, u, v, w, nu, grid)
         prob.fit_report = report
         return prob
@@ -464,7 +463,7 @@ def lhs_rhs(problem: HardyProblem, f) -> tuple[float, float]:
     U = _cumulative_at(u, candidates)
     vv = np.asarray(v(candidates), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.nan_to_num(P / U * vv, nan=0.0)
+        vals = np.nan_to_num(P / U * vv, nan=0.0, posinf=_INF)
     rhs = float(np.max(vals)) if len(vals) else 0.0
 
     # head limit: f_u** -> f*(0+), v -> its limit at zero

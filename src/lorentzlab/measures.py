@@ -349,9 +349,10 @@ def nondegeneracy_check(
     )
 
 
-def _collocation_points(
-    grid: GeometricGrid, per_decade: int
-) -> np.ndarray:
+_INTERIOR = (1e-2, 1e2)  # where a fit's quality is judged
+
+
+def _collocation_points(grid: GeometricGrid, per_decade: int) -> np.ndarray:
     """Log-spaced evaluation points, excluding half a decade at each end."""
     lo = math.log10(grid.t_min) + 0.5
     hi = math.log10(grid.t_max) - 0.5
@@ -366,20 +367,20 @@ def fit_representation_measure(
     include_origin_atom: bool = True,
     *,
     max_log_ratio: float = math.log(1.1),
-    collocation_per_decade: int = 4,
-    interior: tuple[float, float] = (1e-2, 1e2),
-    max_iter: int = 40,
 ) -> tuple[DiscreteMeasure, EquivReport]:
     """Fit a discrete measure whose fundamental function matches h_target.
 
-    Approximates the minimax fit, the smallest sup over interior collocation
-    points of |log(h_nu/h_target)|, by Lawson-reweighted NNLS on relative
-    residuals; it does not solve the minimax exactly.  Acceptance criterion 06
-    measures its gap to the linear-programming floor over the same support and
-    points (tests/test_acceptance.py).  Masses below 1e-12 of the total are
-    pruned.  The quality bound is judged on the collocation points inside
-    ``interior`` (truncation pollutes the outer decades; the kernel family is
-    too rigid there to track targets it cannot extrapolate).
+    The collocation points are 4 per decade, log-spaced from half a decade
+    inside the grid's t_min to half a decade inside its t_max.  The fit
+    approximates the minimax fit, the smallest sup over the interior points
+    of |log(h_nu/h_target)|, by 40 rounds of Lawson-reweighted NNLS on
+    relative residuals; it does not solve the minimax exactly.  Acceptance
+    criterion 06 measures its gap to the linear-programming floor over the
+    same support and points (tests/test_acceptance.py).  Masses below 1e-12
+    of the total are pruned.  The quality bound is judged on the collocation
+    points inside the interior [1e-2, 1e2] (truncation pollutes the outer
+    decades; the kernel family is too rigid there to track targets it cannot
+    extrapolate); points outside it keep a small weight.
     Raises NotQuasiconcave when the target fails the sigma-quasiconcavity
     precondition and FitFailed when the achieved interior sup-log-ratio
     exceeds max_log_ratio.
@@ -390,8 +391,8 @@ def fit_representation_measure(
             "target is not sigma-quasiconcave on the grid "
             f"(defect constant {pre.best_constant!r})"
         )
-    t_eval = _collocation_points(support_grid, collocation_per_decade)
-    inner = (t_eval >= interior[0]) & (t_eval <= interior[1])
+    t_eval = _collocation_points(support_grid, 4)
+    inner = (t_eval >= _INTERIOR[0]) & (t_eval <= _INTERIOR[1])
     if not np.any(inner):
         inner = np.ones(len(t_eval), dtype=bool)
     h_vals = _sigma_at(h_target, t_eval)
@@ -414,7 +415,7 @@ def fit_representation_measure(
     weights = np.where(inner, 1.0, 0.05)
     best_m = None
     best_sup = _INF
-    for _ in range(max_iter):
+    for _ in range(40):
         a_mat = rel * weights[:, None]
         try:
             m, _ = nnls(a_mat, weights)
@@ -458,7 +459,7 @@ def fit_representation_measure(
         details={
             "n_atoms": len(nu),
             "collocation_range": [float(t_eval[0]), float(t_eval[-1])],
-            "interior": [float(interior[0]), float(interior[1])],
+            "interior": list(_INTERIOR),
             "sup_log_ratio": float(np.max(np.abs(np.log(r_in)))),
             "sup_log_ratio_full_range": float(np.max(np.abs(np.log(ratios)))),
         },

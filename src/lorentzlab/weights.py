@@ -86,7 +86,7 @@ def _plog_head_integral(alpha: float, beta: float, lo: float, hi: float) -> floa
     if lo == 0.0:
         raise NonIntegrableNearZero(f"t^{alpha} ... is not integrable near 0")
     val = mpmath.quad(
-        lambda x: mpmath.mpf(x) ** beta * mpmath.e ** (lam * (x - 1.0)), [x0, x1]
+        lambda x: mpmath.mpf(x) ** beta * mpmath.e ** (lam * (1.0 - x)), [x0, x1]
     )
     return float(val)
 

@@ -163,19 +163,6 @@ class TestAssociateGeneralized:
             "value",
         ]
 
-    def test_inner_denominator_variant_differs(self):
-        base = assoc_generalized(2.0, one, one, chi01)
-        variant = assoc_generalized(2.0, one, one, chi01, inner_denominator="psi_p")
-        assert variant.boundary_flags["inner_denominator"] == "psi_p"
-        assert variant.value != pytest.approx(base.value, rel=1e-6)
-
-    def test_inner_denominator_variant_diverges_beyond_support(self):
-        # beyond supp f* the variant integrand is F^{p'} / s^{p'/p}, and
-        # p'/p = 1/(p-1) <= 1 for p >= 2
-        for p in (2.0, 3.0):
-            res = assoc_generalized(p, one, one, chi01, inner_denominator="psi_p")
-            assert res.value == math.inf
-
     def test_flat_p2_is_the_maximal_function_norm(self):
         # psi = phi = 1, p = 2: the associate norm is ||f**||_2 exactly, and
         # wide f* cells below the grid's t_min need split panels to match it

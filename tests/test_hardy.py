@@ -148,6 +148,14 @@ def test_lhs_rhs_tail_of_an_unbounded_f_is_f_at_infinity_times_the_limit_of_v():
     assert lhs_rhs(HardyProblem(1.0, one, Power(0.5), Tabulated(chi01), d0), f)[1] == math.inf
 
 
+def test_lhs_rhs_keeps_an_infinite_rhs_at_a_breakpoint():
+    # f = +inf on (0, 1]: f_u** is +inf at every candidate point where v = 1,
+    # and no finite number may stand in for it
+    f = PiecewiseFn([1.0, 2.0], [math.inf, 1.0])
+    prob = HardyProblem(1.0, one, Tabulated(indicator(0.5, 3.0)), one, d1)
+    assert lhs_rhs(prob, f) == (math.inf, math.inf)
+
+
 class TestCallCounts:
     """The prefix integrals of lhs_rhs and the cumulatives of a ZetaFn build
     are batched: the number of calls does not grow with the point count."""

@@ -108,3 +108,46 @@ def test_no_numpy_reductions_on_the_small_array_paths():
         for name in ("funcs.py", "rearrangement.py", "weights.py")
     }
     assert found == {"funcs.py": [], "rearrangement.py": [], "weights.py": []}
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+
+def public_kwargs_functions(source: str) -> list[str]:
+    """Public module-level functions and public methods of public classes
+    that take ``**kwargs``, as 'line N: name'."""
+    found = []
+    for node in ast.parse(source).body:
+        public_class = isinstance(node, ast.ClassDef) and _public(node.name)
+        methods = [(node.name + ".", m) for m in node.body] if public_class else []
+        for prefix, fn in [("", node), *methods]:
+            if isinstance(fn, ast.FunctionDef) and _public(fn.name) and fn.args.kwarg is not None:
+                found.append(f"line {fn.lineno}: {prefix}{fn.name}")
+    return sorted(found)
+
+
+def test_the_scan_sees_a_public_kwargs_function():
+    src = (
+        "def f(**kw): pass\n"
+        "def _g(**kw): pass\n"
+        "class A:\n"
+        "    def m(self, *, x=1, **kw): pass\n"
+        "    def __init__(self, **kw): pass\n"
+        "    def _h(self, **kw): pass\n"
+        "class _B:\n"
+        "    def m(self, **kw): pass\n"
+        "def k(*args, x=1): pass\n"
+    )
+    assert public_kwargs_functions(src) == ["line 1: f", "line 4: A.m", "line 5: A.__init__"]
+
+
+def test_no_public_function_passes_options_through():
+    # a **kwargs pass-through hides which options exist and lets ones that
+    # no caller sets survive; private helpers such as cli._payload are exempt
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        bad = public_kwargs_functions(path.read_text())
+        if bad:
+            found[path.name] = bad
+    assert found == {}

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import lorentzlab.funcs
 import lorentzlab.weights
@@ -88,6 +89,19 @@ class TestPowerLog:
     def test_nonintegrable_near_zero(self):
         with pytest.raises(NonIntegrableNearZero):
             PowerLog(-1.0, 0.5).cumulative(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, lo, hi",
+        [(-1.5, 1.0, 1e-4, 1.0), (-2.0, 2.0, 1e-3, 1.0), (-1.2, -0.5, 1e-6, 0.3), (-3.0, 0.5, 0.01, 2.0)],
+    )
+    def test_cumulative_below_minus_one_matches_quadrature(self, alpha, beta, lo, hi):
+        # alpha < -1: the head integral away from 0, against scipy's quad in
+        # u = ln t, where the integrand is e^((alpha+1)u) (1 - u)^beta below 1
+        w = PowerLog(alpha, beta)
+        head, _ = quad(lambda u: math.exp((alpha + 1.0) * u) * (1.0 - u) ** beta,
+                       math.log(lo), math.log(min(hi, 1.0)), epsabs=0.0, epsrel=1e-13)
+        far = (hi ** (alpha + 1.0) - 1.0) / (alpha + 1.0) if hi > 1.0 else 0.0
+        assert w.cumulative(lo, hi) == pytest.approx(head + far, rel=1e-10)
 
 
 def _corpus_cells():

@@ -24,9 +24,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import mpmath
 import numpy as np
-from scipy.special import roots_legendre
 
 from .conditions import sigma as sigma_of
 from .errors import (
@@ -46,6 +44,8 @@ from .rearrangement import _rearranged, cumulative_eval
 from .reports import EquivReport
 from .sampling import random_decreasing
 from .weights import (
+    _GL_W,
+    _GL_X,
     Power,
     Tabulated,
     Weight,
@@ -70,7 +70,6 @@ __all__ = [
 ]
 
 _INF = math.inf
-_GL_X, _GL_W = roots_legendre(20)
 _SLACK = 1e-12  # growth exponents closer than this tie
 _HEAD_PROBES = np.array([1e-9, 1e-8])  # where a tie at 0+ is read
 
@@ -202,6 +201,8 @@ class _Ratio:
         def tail(t: float) -> float:
             if dens is None or diverges:
                 return 0.0 if dens is None else _INF
+            import mpmath
+
             point = lambda s: float(integrand(np.array([float(s)]))[0])  # noqa: E731
             return float(mpmath.quad(point, [t, mpmath.inf]))
 

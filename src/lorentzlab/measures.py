@@ -18,9 +18,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
-import mpmath
 import numpy as np
-from scipy.optimize import nnls
 
 from .conditions import EPS_ADMISSIBLE, quasiconcave_check
 from .errors import DegenerateSigma, FitFailed, NotQuasiconcave
@@ -123,6 +121,8 @@ class DiscreteMeasure:
             return 0.0
         alpha, coef = self.tail.alpha, self.tail.coef
         cut = self.tail_cutoff
+        import mpmath
+
         val = mpmath.quad(lambda s: g(float(s)) * coef * float(s) ** alpha, [cut, mpmath.inf])
         return float(val)
 
@@ -258,6 +258,8 @@ class _EquivForms:
             if t <= cut:
                 right += self._tail_G
             else:
+                import mpmath
+
                 alpha, coef = self.nu.tail
                 right += float(
                     mpmath.quad(
@@ -385,6 +387,8 @@ def fit_representation_measure(
     precondition and FitFailed when the achieved interior sup-log-ratio
     exceeds max_log_ratio.
     """
+    from scipy.optimize import nnls  # here, not at module level: it adds ~0.2 s to every import
+
     pre = quasiconcave_check(h_target, sig, support_grid)
     if not pre.holds:
         raise NotQuasiconcave(

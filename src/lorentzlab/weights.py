@@ -9,7 +9,9 @@ NonIntegrableNearZero; divergence at infinity reports +inf.
 
 ``product_cumulative`` is the one way a step function is integrated against
 any kind of weight; a tabulated weight's cell masses come from funcs.py's
-overlap kernel ``integrate_pairs``.
+overlap kernel ``integrate_pairs``.  A PowerLog is integrated on (0, 1] by
+Gauss-Legendre panels in u = ln t, from a table of its integrals from 0 at
+e^-j; mpmath is imported only below the deepest entry of that table.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .errors import ConfigError, InvertedInterval, NonIntegrableNearZero
@@ -58,37 +59,106 @@ def power_integral(alpha: float, lo: float, hi: float) -> float:
     return (hi ** ap1 - lo ** ap1) / ap1
 
 
-@lru_cache(maxsize=16384)  # about 5 MB full; one function's norms and associates need < 3k keys
-def _plog_head_integral(alpha: float, beta: float, lo: float, hi: float) -> float:
-    """integral over (lo, hi] of t^alpha (1 - ln t)^beta, interval inside (0, 1]."""
-    lam = alpha + 1.0
-    x0 = 1.0 - math.log(hi)  # lower x bound (x decreasing in t)
-    x1 = _INF if lo == 0.0 else 1.0 - math.log(lo)
-    if lam > 0.0:
-        # substitute x = 1 - ln t:  e^lam * lam^-(beta+1) * Gamma(beta+1, lam x0, lam x1)
-        if x1 == _INF:
-            g = mpmath.gammainc(beta + 1.0, lam * x0)
-        else:
-            g = mpmath.gammainc(beta + 1.0, lam * x0, lam * x1)
-        return float(mpmath.e ** lam * mpmath.mpf(lam) ** (-(beta + 1.0)) * g)
+# Gauss-Legendre nodes and weights of order 20 on [-1, 1], equal bit for bit
+# to scipy.special.roots_legendre(20) and written out so that importing the
+# package loads no scipy (numpy's leggauss weights differ by up to 1e-13)
+_GL_X = np.array([
+    -0.9931285991850949, -0.9639719272779137, -0.912234428251326, -0.8391169718222189,
+    -0.7463319064601508, -0.6360536807265149, -0.510867001950827, -0.37370608871541955,
+    -0.22778585114164504, -0.0765265211334973, 0.0765265211334973, 0.22778585114164504,
+    0.37370608871541955, 0.510867001950827, 0.6360536807265149, 0.7463319064601508,
+    0.8391169718222189, 0.912234428251326, 0.9639719272779137, 0.9931285991850949,
+])
+_GL_W = np.array([
+    0.017614007139152687, 0.04060142980038748, 0.06267204833410933, 0.08327674157670427,
+    0.10193011981724026, 0.11819453196151841, 0.13168863844917644, 0.14209610931838176,
+    0.1491729864726036, 0.1527533871307256, 0.1527533871307256, 0.1491729864726036,
+    0.14209610931838176, 0.13168863844917644, 0.11819453196151841, 0.10193011981724026,
+    0.08327674157670427, 0.06267204833410933, 0.04060142980038748, 0.017614007139152687,
+])
+
+_KNOTS = 40  # PowerLog prefixes are tabulated at e^-j, j = 0.._KNOTS
+
+
+def _log_ratio(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """ln(hi / lo) for 0 < lo <= hi <= inf, to full relative accuracy also
+    when hi / lo is close to 1."""
+    d = np.log(hi) - np.log(lo)
+    near = hi <= 2.0 * lo  # hi - lo is exact there
+    d[near] = np.log1p((hi[near] - lo[near]) / lo[near])
+    return d
+
+
+def _power_pairs(lam: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """integral over (lo, hi] of t^(lam - 1), 0 < lo <= hi <= inf: through
+    expm1 when (hi / lo)^lam is within a factor e of 1, where the difference
+    hi^lam - lo^lam would cancel."""
+    d = _log_ratio(lo, hi)
     if lam == 0.0:
-        bp1 = beta + 1.0
-        if x1 == _INF:
-            if bp1 >= 0.0:
-                raise NonIntegrableNearZero(
-                    f"t^-1 (1+ln 1/t)^{beta} is not integrable near 0"
-                )
-            return -(x0 ** bp1) / bp1
-        if bp1 == 0.0:
-            return math.log(x1 / x0)
-        return (x1 ** bp1 - x0 ** bp1) / bp1
-    # lam < 0: integrable only away from 0
-    if lo == 0.0:
-        raise NonIntegrableNearZero(f"t^{alpha} ... is not integrable near 0")
-    val = mpmath.quad(
-        lambda x: mpmath.mpf(x) ** beta * mpmath.e ** (lam * (1.0 - x)), [x0, x1]
-    )
-    return float(val)
+        return d
+    near = lo ** lam * np.expm1(lam * d) / lam
+    far = (hi ** lam - lo ** lam) / lam
+    return np.where(np.abs(lam * d) < 1.0, near, far)
+
+
+def _plog_panels(lam: float, beta: float, u0: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """integral over (u0, u0 + width] of e^(lam u) (1 - u)^beta du, the
+    PowerLog density in u = ln t, for u0 + width <= 0.  Each interval takes
+    ceil(width) equal 20-node Gauss-Legendre panels (at least one); a panel's
+    nodes are summed in their row and an interval's panels in order, so each
+    value depends on its own interval alone, whatever the batch."""
+    n = np.maximum(np.ceil(width), 1.0).astype(np.intp)
+    first = np.cumsum(n) - n
+    pair = np.repeat(np.arange(len(n)), n)
+    half = 0.5 * width[pair] / n[pair]
+    mid = u0[pair] + (2.0 * (np.arange(len(pair)) - first[pair]) + 1.0) * half
+    u = mid[:, None] + half[:, None] * _GL_X
+    panels = half * (np.exp(lam * u) * (1.0 - u) ** beta * _GL_W).sum(axis=1)
+    return np.add.reduceat(panels, first)
+
+
+def _plog_deep(alpha: float, beta: float, u: float) -> float:
+    """integral over (0, e^u] of t^alpha (1 - ln t)^beta, for u <= -_KNOTS and
+    a density integrable near 0: with x = 1 - ln t, e^lam lam^-(beta+1)
+    Gamma(beta+1, lam (1 - u)) when lam = alpha + 1 > 0, a power of x when
+    lam = 0."""
+    lam = alpha + 1.0
+    if lam == 0.0:
+        return -((1.0 - u) ** (beta + 1.0)) / (beta + 1.0)
+    import mpmath
+
+    g = mpmath.gammainc(beta + 1.0, lam * (1.0 - u))
+    return float(mpmath.e ** lam * mpmath.mpf(lam) ** (-(beta + 1.0)) * g)
+
+
+@lru_cache(maxsize=64)
+def _plog_knots(alpha: float, beta: float) -> np.ndarray:
+    """W(e^-j) = integral over (0, e^-j] of the PowerLog density for
+    j = 0.._KNOTS: the deepest from ``_plog_deep``, each other one the exact
+    sum of it and the unit panels above it.  Read-only."""
+    units = _plog_panels(alpha + 1.0, beta, -np.arange(1.0, _KNOTS + 1.0), np.ones(_KNOTS)).tolist()
+    deep = _plog_deep(alpha, beta, -float(_KNOTS))
+    knots = np.array([math.fsum([deep, *units[j:]]) for j in range(_KNOTS + 1)])
+    knots.setflags(write=False)
+    return knots
+
+
+def _plog_prefix(alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
+    """W(t) = integral over (0, t] of the PowerLog density for t in (0, 1]:
+    the knot e^-j at or below t plus one panel from it up to t; below the
+    deepest knot, ``_plog_deep`` point by point."""
+    u = np.log(t)
+    j = np.ceil(-u)
+    out = np.empty(len(t))
+    deep = j > _KNOTS
+    near = ~deep
+    if near.any():
+        jn = j[near]
+        knots = _plog_knots(alpha, beta)
+        out[near] = knots[jn.astype(np.intp)] + _plog_panels(alpha + 1.0, beta, -jn, u[near] + jn)
+    for k in np.flatnonzero(deep).tolist():
+        out[k] = _plog_deep(alpha, beta, float(u[k]))
+    return out
 
 
 class Weight:
@@ -103,9 +173,8 @@ class Weight:
         raise NotImplementedError
 
     def cumulative_pairs(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.cumulative(float(a), float(b)) for a, b in zip(lo, hi)]
-        )
+        """W(lo_k, hi_k) for each pair, each equal to the float call."""
+        raise NotImplementedError
 
     def pow(self, e: float) -> "Weight":
         raise NotImplementedError
@@ -206,17 +275,38 @@ class PowerLog(Weight):
         return t ** self.alpha * (1.0 + logplus) ** self.beta
 
     def cumulative(self, a, b):
-        if a > b:
-            raise InvertedInterval(f"cumulative over ({a}, {b}]")
-        if a == b:
-            return 0.0
-        total = 0.0
-        head_hi = min(b, 1.0)
-        if a < 1.0 and head_hi > a:
-            total += _plog_head_integral(self.alpha, self.beta, a, head_hi)
-        if b > 1.0:
-            total += power_integral(self.alpha, max(a, 1.0), b)
-        return total
+        return float(self.cumulative_pairs(np.array([a], dtype=float), np.array([b], dtype=float))[0])
+
+    def cumulative_pairs(self, lo, hi):
+        """The head (0, 1] in u = ln t: from 0 by the knot table and one panel,
+        otherwise directly over (ln lo, ln hi] (never as a difference of
+        prefixes, which cancels on narrow cells); past 1 the power closed form."""
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        inverted = lo > hi
+        if inverted.any():
+            k = int(inverted.argmax())
+            raise InvertedInterval(f"cumulative over ({lo.flat[k]}, {hi.flat[k]}]")
+        if (lo < 0.0).any():
+            raise ValueError("bounds must be >= 0")
+        lam = self.alpha + 1.0
+        out = np.zeros(lo.shape)
+        far = (hi > 1.0) & (hi > lo)
+        if far.any():
+            out[far] = _power_pairs(lam, np.maximum(lo[far], 1.0), hi[far])
+        head_hi = np.minimum(hi, 1.0)
+        zero = (lo == 0.0) & (hi > 0.0)
+        if zero.any():
+            if not (lam > 0.0 or (lam == 0.0 and self.beta < -1.0)):
+                raise NonIntegrableNearZero(
+                    f"t^{self.alpha} (1 + ln 1/t)^{self.beta} is not integrable near 0"
+                )
+            out[zero] += _plog_prefix(self.alpha, self.beta, head_hi[zero])
+        cell = (lo > 0.0) & (lo < head_hi)
+        if cell.any():
+            a, b = lo[cell], head_hi[cell]
+            out[cell] += _plog_panels(lam, self.beta, np.log(a), _log_ratio(a, b))
+        return out
 
     def pow(self, e):
         return PowerLog(self.alpha * e, self.beta * e)

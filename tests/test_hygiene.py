@@ -65,12 +65,12 @@ def test_the_scan_sees_a_class_without_the_method():
 
 
 def test_every_weight_kind_has_its_own_cumulative_pairs():
-    # The base-class cumulative_pairs calls cumulative once per pair; a kind
-    # that inherits it pays one exact integral per point in every batched
-    # build.  PowerLog still does, until its head integral is batched as well
-    # (ROADMAP direction 3).
+    # every batched build (product_cumulative, the prefixes of a zeta build)
+    # goes through cumulative_pairs, and the base class only raises
+    # NotImplementedError; a kind integrated one pair at a time would pay one
+    # exact integral per point there
     missing = classes_without((PACKAGE / "weights.py").read_text(), "Weight", "cumulative_pairs")
-    assert missing == ["PowerLog"]
+    assert missing == []
 
 
 def test_every_weight_kind_has_its_own_head_and_tail_power():

@@ -103,6 +103,91 @@ class TestPowerLog:
         far = (hi ** (alpha + 1.0) - 1.0) / (alpha + 1.0) if hi > 1.0 else 0.0
         assert w.cumulative(lo, hi) == pytest.approx(head + far, rel=1e-10)
 
+    @pytest.mark.parametrize("alpha, beta, lo, hi", [(0.2, -1.0, 0.4999, 0.5), (0.0, 1.0, 0.5 * (1.0 - 1e-9), 0.5)])
+    def test_a_narrow_cell_matches_the_40_digit_quadrature(self, alpha, beta, lo, hi):
+        # a difference of two incomplete gammas cancels on a narrow cell: it
+        # raised NotImplementedError on the first and was 1.1e-7 off on the second
+        want = _powerlog_reference(alpha, beta, lo, hi)
+        assert PowerLog(alpha, beta).cumulative(lo, hi) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _powerlog_reference(alpha, beta, lo, hi):
+    """integral over (lo, hi] of PowerLog(alpha, beta) to 40 digits.  Below 1,
+    in u = ln t: from 0 the incomplete gamma e^lam lam^-(beta+1)
+    Gamma(beta+1, lam (1 - u)) (a power of 1 - u when lam = alpha + 1 = 0),
+    otherwise mpmath.quad of e^(lam u) (1 - u)^beta with e^(lam ln lo) taken
+    out, since quad's tolerance is absolute.  Past 1, the power closed form."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(alpha) + 1
+        lo_m, hi_m = mpmath.mpf(lo), mpmath.mpf(hi)
+        head_hi = min(hi_m, mpmath.mpf(1))
+        total = mpmath.mpf(0)
+        if lo_m < head_hi and lo == 0.0:
+            x0 = 1 - mpmath.log(head_hi)
+            if lam == 0:
+                total += -x0 ** (beta + 1) / (beta + 1)
+            else:
+                total += mpmath.e ** lam * lam ** -(beta + 1) * mpmath.gammainc(beta + 1, lam * x0)
+        elif lo_m < head_hi:
+            a, width = mpmath.log(lo_m), mpmath.log(head_hi / lo_m)
+            shifted = lambda v: mpmath.exp(lam * v) * (1 - a - v) ** beta  # noqa: E731
+            pieces = mpmath.linspace(0, width, int(width) + 2)
+            total += mpmath.exp(lam * a) * mpmath.quad(shifted, pieces, method="gauss-legendre")
+        if hi_m > 1:
+            a = max(lo_m, mpmath.mpf(1))
+            total += mpmath.log(hi_m / a) if lam == 0 else (hi_m ** lam - a ** lam) / lam
+        return float(total)
+
+
+class TestPowerLogKernel:
+    """cumulative_pairs: from 0 by a knot table at e^-j and one Gauss-Legendre
+    panel in u = ln t, other cells directly, the power closed form past 1."""
+
+    rng = np.random.default_rng(12)
+    # (alpha, beta): the extremes, beta = -1, alpha + 1 = 0 and below, and seeded draws
+    params = [(-0.99, -2.5), (3.0, 2.0), (0.2, -1.0), (-1.0, -2.0), (-1.5, 1.0)] + [
+        (round(float(a), 3), round(float(b), 3)) for a, b in zip(rng.uniform(-0.9, 2.5, 3), rng.uniform(-2.5, 2.0, 3))
+    ]
+    points = np.geomspace(1e-14, 1e2, 8) * rng.uniform(0.8, 1.25, 8)
+
+    @staticmethod
+    def _from_zero(alpha, beta):
+        return alpha > -1.0 or (alpha == -1.0 and beta < -1.0)
+
+    @pytest.mark.parametrize("alpha, beta", params)
+    def test_prefixes_match_the_40_digit_reference(self, alpha, beta):
+        if not self._from_zero(alpha, beta):
+            with pytest.raises(NonIntegrableNearZero):
+                PowerLog(alpha, beta).cumulative_pairs(np.zeros(2), np.array([0.5, 2.0]))
+            return
+        points = np.append(self.points, 1e-20)  # below the deepest knot e^-40
+        got = PowerLog(alpha, beta).cumulative_pairs(np.zeros(len(points)), points)
+        for t, value in zip(points.tolist(), got.tolist()):
+            assert value == pytest.approx(_powerlog_reference(alpha, beta, 0.0, t), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alpha, beta", params)
+    def test_cells_match_the_40_digit_reference_down_to_relative_width_1e_9(self, alpha, beta):
+        lo = np.repeat(self.points, 3)
+        hi = lo * np.tile([1.0 + 1e-9, 1.5, 30.0], len(self.points))
+        got = PowerLog(alpha, beta).cumulative_pairs(lo, hi)
+        for a, b, value in zip(lo.tolist(), hi.tolist(), got.tolist()):
+            assert value == pytest.approx(_powerlog_reference(alpha, beta, a, b), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alpha, beta", params)
+    def test_values_do_not_depend_on_the_batch(self, alpha, beta):
+        rng = np.random.default_rng(31)
+        hi = np.exp(rng.uniform(math.log(1e-20), math.log(1e2), 120))
+        lo = hi * rng.uniform(0.0, 1.0, len(hi))
+        if self._from_zero(alpha, beta):
+            lo[::3] = 0.0
+        w = PowerLog(alpha, beta)
+        full = w.cumulative_pairs(lo, hi)
+        order = rng.permutation(len(hi))
+        assert w.cumulative_pairs(lo[order], hi[order]).tolist() == full[order].tolist()
+        for n in (1, 5, 64):
+            assert w.cumulative_pairs(lo[:n], hi[:n]).tolist() == full[:n].tolist()
+        assert [w.cumulative(a, b) for a, b in zip(lo.tolist(), hi.tolist())] == full.tolist()
+
 
 def _corpus_cells():
     """Seeded step functions, each also with a positive right value, plus a

@@ -36,16 +36,7 @@ from .errors import (
 )
 from .funcs import PiecewiseFn, indicator
 from .grid import DEFAULT_GRID, GeometricGrid
-from .hardy import (
-    _HEAD_PROBES,
-    Zeta1Fn,
-    _gl_cells,
-    _head_growth,
-    _merged_edges,
-    _order,
-    _Ratio,
-    _suffix_sup,
-)
+from .hardy import _gl_cells, _head_growth, _merged_edges, _nu_integral, _order
 from .measures import DiscreteMeasure, fit_representation_measure
 from .rearrangement import DecreasingFn, _rearranged, cumulative_eval
 from .reports import EquivReport
@@ -311,7 +302,7 @@ class _SupNorm:
 
     def __init__(self, phi: Weight, p: float, psi: Weight, shape: PiecewiseFn, grid: GeometricGrid):
         bp = shape.breakpoints
-        edges = _merged_edges(grid, shape, getattr(psi, "fn", None))
+        edges = _merged_edges(grid, shape, psi)
         lo, hi = float(edges[0]), float(edges[-1])
         rs = np.unique(
             np.concatenate(
@@ -506,26 +497,12 @@ def lpq_star_norm(p: float, q: float, f, grid: GeometricGrid = DEFAULT_GRID) -> 
 _ORIGIN = DiscreteMeasure([0.0], [1.0])  # the unit atom at 0
 
 
-def _branch_integral(p: float, psi: Weight, fstar: PiecewiseFn, nu: DiscreteMeasure,
-                     grid: GeometricGrid) -> float:
-    """The integral against nu of the branch formula for nonzero f*:
-
-      0 < p <= 1:  t -> sup_{s>t} s f**(s)/Psi_p(s)
-      1 < p:       t -> (integral_t^inf (s f**/Psi_p^p)^{p'} psi^p)^{1/p'}
-    """
-    if p <= 1.0:
-        edges = _merged_edges(grid, fstar, nu=nu)
-        ratio = _Ratio(fstar, psi.pow(p), 1.0 / p)
-        return nu.integrate(_suffix_sup(ratio, edges, _HEAD_PROBES * min(1.0, float(edges[0]))))
-    z1 = Zeta1Fn(DecreasingFn(fstar), psi, p, grid)
-    return nu.integrate(lambda t: z1.inner_integral(max(t, 0.0)) ** (1.0 / z1.pp))
-
-
 def assoc_classical(
     p: float, psi: Weight, f, grid: GeometricGrid = DEFAULT_GRID
 ) -> float:
     """Closed-form associate norm of the classical Lorentz space ||psi f*||_p:
-    the branch formula of ``assoc_generalized`` with nu the unit atom at 0.
+    the branch formula of ``assoc_generalized`` with nu the unit atom at 0,
+    integrated by ``hardy._nu_integral``.
 
     For 0 < p <= 1: sup_{t>0} t f**(t) / Psi_p(t).  For 1 < p < infinity:
     (integral of (t f**/Psi_p^p)^{p'} psi^p dt)^{1/p'}, the outer 1/p' making
@@ -536,15 +513,15 @@ def assoc_classical(
     fstar = _rearranged(f)
     if _is_zero(fstar):
         return 0.0
-    return _branch_integral(p, psi, fstar, _ORIGIN, grid)
+    return _nu_integral(p, 1.0 / p, fstar, psi.pow(p), _ORIGIN, grid)[0]
 
 
 _FIT_CACHE: dict[str, tuple[DiscreteMeasure, EquivReport]] = {}
 
 
-def _phi_hypotheses(phi: Weight, p: float, grid: GeometricGrid) -> dict:
-    """The flags of phi nonincreasing and phi(r) r^{1/p} nondecreasing, on
-    the grid; raises HypothesisViolated unless both hold."""
+def _phi_hypotheses(phi: Weight, p: float, grid: GeometricGrid) -> None:
+    """Raises HypothesisViolated unless phi is nonincreasing and phi(r) r^{1/p}
+    nondecreasing on the grid."""
     t = grid.breakpoints
     pv = np.asarray(phi(t), dtype=float)
     slack = 1.0 + 1e-9
@@ -557,7 +534,6 @@ def _phi_hypotheses(phi: Weight, p: float, grid: GeometricGrid) -> dict:
             "phi must be nonincreasing with phi(r) r^{1/p} nondecreasing; "
             f"grid check gave {flags}"
         )
-    return flags
 
 
 def _fit_nu_for_phi(
@@ -611,13 +587,12 @@ def assoc_generalized(
     """
     if not (0.0 < p < _INF):
         raise ConfigError("assoc_generalized needs p in (0, inf)")
-    flags = _phi_hypotheses(phi, p, grid)
+    _phi_hypotheses(phi, p, grid)
     key = json.dumps([phi.to_json(), psi.to_json(), p, grid.to_json()], sort_keys=True)
     nu, fit_report = _fit_nu_for_phi(phi, WeightProfile(psi, p), key, grid)
-    flags["homogeneity_corrected"] = p > 1.0
-    flags["origin_atom"] = bool(len(nu.locations) and nu.locations[0] == 0.0)
+    flags = {"origin_atom": bool(len(nu.locations) and nu.locations[0] == 0.0)}
     fstar = _rearranged(f)
-    value = 0.0 if _is_zero(fstar) else _branch_integral(p, psi, fstar, nu, grid)
+    value = 0.0 if _is_zero(fstar) else _nu_integral(p, 1.0 / p, fstar, psi.pow(p), nu, grid)[0]
     return AssociateResult(value, nu, fit_report, flags)
 
 
@@ -810,7 +785,7 @@ def embedding_criterion(
     for name, val in (("p", p), ("q", q)):
         if not (0.0 < val < _INF):
             raise ConfigError(f"{name} must lie in (0, inf)")
-    flags = _phi_hypotheses(phi, p, grid)
+    _phi_hypotheses(phi, p, grid)
     P = p / q
     prof = WeightProfile(psi, p)  # big_p = Phi = integral psi^p
     expo = q / p
@@ -822,27 +797,12 @@ def embedding_criterion(
         ["embed", phi.to_json(), psi.to_json(), p, q, grid.to_json()], sort_keys=True
     )
     nu, fit_report = _fit_nu_for_phi(phi, sig, key, grid)
-    wq = w.pow(q)
-    flags["reduced_exponent"] = P
-    flags["origin_atom"] = bool(len(nu.locations) and nu.locations[0] == 0.0)
-
-    density = prof.density
-
-    if P <= 1.0:
-        edges = _merged_edges(grid, nu=nu)
-        g = _suffix_sup(_Ratio(wq, density, expo), edges, _HEAD_PROBES * min(1.0, float(edges[0])))
-        tail_divergent = not math.isfinite(g(_INF))  # the sup beyond the last edge
-    else:
-        Pp = P / (P - 1.0)
-        edges = _merged_edges(grid, getattr(density, "fn", None))
-        inner = _Ratio(wq, density).suffix_integral(Pp, density, edges)
-        tail_divergent = inner.tail_end == _INF
-
-        def g(t: float) -> float:
-            return inner(max(t, 0.0)) ** (1.0 / Pp)
-
-    value = nu.integrate(g)
-    flags["tail_divergent"] = tail_divergent
+    value, tail_divergent = _nu_integral(P, expo, w.pow(q), prof.density, nu, grid)
+    flags = {
+        "reduced_exponent": P,
+        "origin_atom": bool(len(nu.locations) and nu.locations[0] == 0.0),
+        "tail_divergent": tail_divergent,
+    }
     return EmbeddingResult(value, math.isfinite(value), nu, fit_report, flags)
 
 

@@ -66,8 +66,6 @@ __all__ = [
     "main",
 ]
 
-_INF = float("inf")
-
 
 # -- literal / config parsing --------------------------------------------------
 

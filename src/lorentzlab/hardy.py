@@ -9,14 +9,20 @@ handling, provides the zeta functional and its smoothed form zeta1 together
 with the integration-by-parts identity connecting them, and verifies the
 equivalence empirically over seeded trial families.
 
-The same two integrals against nu give the associate norms and embedding
-criteria in ``associate``, so their kernels live here once: the limit rule
-at 0+ and infinity (``_limit``: exponent algebra on ``_head_growth`` and
-``_tail_growth``, with a probe read only on a tie), the ratio N/D^e of two
+The integral against nu behind A(1) also gives the associate norms and the
+embedding criterion in ``associate``, so it exists once, in ``_nu_integral``:
+the suffix sup (exponent P <= 1) or the suffix P'-integral (P > 1) of a
+ratio N/D^e, integrated against nu.  Its kernels: the limit rule at 0+ and
+infinity (``_limit``: exponent algebra on ``_head_growth`` and
+``_tail_growth``, with a probe read only on a tie), the ratio of two
 integrals from zero with its integrands (``_Ratio``), the edge merge
-(``_merged_edges``), the suffix sup of a ratio (``_suffix_sup``), and the
-suffix integral (``_SuffixIntegral``: Gauss-Legendre panels from
-``_gl_cells``, one batched integrand call per build, plus a tail).
+(``_merged_edges``), the suffix sup (``_suffix_sup``), and the suffix
+integral (``_SuffixIntegral``: Gauss-Legendre panels from ``_gl_cells``, one
+batched integrand call per build, plus a tail).  ``_Ratio.suffix_integral``
+holds the one closed tail: past the support end T of a numerator constant
+there, over its own denominator, the integral of (N(T)/D)^{P'} dD is
+(P - 1) N(T)^{P'} (D(t)^{1 - P'} - D(inf)^{1 - P'}); zeta1 and the P > 1
+branch share it.
 """
 
 from __future__ import annotations
@@ -158,9 +164,11 @@ class _Ratio:
         self.num = num if self.fn is None else Tabulated(num)
         self.den, self.e = den, e
 
+    def _numerator(self, s):
+        return _cumulative_at(self.num, s) if self.fn is None else cumulative_eval(self.fn, s)
+
     def _quotient(self, s):
-        N = _cumulative_at(self.num, s) if self.fn is None else cumulative_eval(self.fn, s)
-        return N / _cumulative_at(self.den, s) ** self.e
+        return self._numerator(s) / _cumulative_at(self.den, s) ** self.e
 
     def __call__(self, s):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -187,13 +195,37 @@ class _Ratio:
         probe = lambda: float(self(np.array([far]))[0])  # noqa: E731
         return _limit(_tail_growth(self.num), _tail_growth(self.den, self.e), probe)
 
-    def suffix_integral(self, power: float, density: Weight, edges: np.ndarray) -> _SuffixIntegral:
-        """t -> integral over (t, infinity) of ratio^power * density.  Beyond
-        the last edge the tail is zero when the density vanishes there (the
-        last edge must lie past its support) and +inf when, by the limit rule,
-        the integrand decays no faster than 1/s; otherwise mpmath.quad
-        integrates it, one point at a time on a one-element array."""
+    def suffix_integral(self, power: float, density: Weight, edges: np.ndarray,
+                        P: Optional[float] = None) -> _SuffixIntegral:
+        """t -> integral over (t, infinity) of ratio^power * density.
+
+        The closed tail: a caller whose density is the denominator D (e = 1)
+        passes P, the conjugate exponent of power.  When the numerator is then
+        constant past its support end T (a step function, or a tabulated
+        weight, with zero right value), the edges are cut at T and past it
+        the integral of (N(T)/D)^power dD is exact,
+        (P - 1) N(T)^power (D(t)^(1 - power) - D(inf)^(1 - power)).
+        Otherwise, beyond the last edge, the tail is zero when the density
+        vanishes there (the last edge must lie past its support) and +inf
+        when, by the limit rule, the integrand decays no faster than 1/s;
+        else mpmath.quad integrates it, one point at a time."""
         integrand = self.integrand(power, density)
+        step = self.num.fn if isinstance(self.num, Tabulated) else None
+        if P is not None and step is not None and step.right_value == 0.0:
+            T = float(step.breakpoints[-1])
+            N_T = float(self._numerator(np.array([T]))[0])
+            D_inf = density.cumulative(0.0, _INF)
+            at_inf = D_inf ** (1.0 - power) if D_inf != _INF else 0.0
+
+            def closed_tail(t: float) -> float:
+                if N_T == 0.0:
+                    return 0.0
+                D_t = float(_cumulative_at(density, np.array([t]))[0])
+                if D_t <= 0.0:
+                    return _INF
+                return (P - 1.0) * N_T**power * (D_t ** (1.0 - power) - at_inf)
+
+            return _SuffixIntegral(integrand, np.append(edges[edges < T], T), closed_tail)
         dens = _tail_growth(density, cumulative=False)
         a = power * (_tail_growth(self.num)[0] - _tail_growth(self.den, self.e)[0])
         diverges = dens is not None and _order(a + dens[0] + 1.0) >= 0
@@ -216,7 +248,7 @@ def _merged_edges(grid: GeometricGrid, *fns, nu: Optional[DiscreteMeasure] = Non
     integral read at an atom starts exactly there."""
     parts = [grid.breakpoints]
     for fn in fns:
-        bp = getattr(fn, "breakpoints", None)
+        bp = getattr(getattr(fn, "fn", fn), "breakpoints", None)
         if bp is not None and len(bp):
             parts.append(np.asarray(bp, dtype=float))
     if nu is not None:
@@ -274,6 +306,27 @@ class _SuffixIntegral:
         k = int(np.searchsorted(self.edges, t, side="left"))
         partial = float(_gl_cells(self.integrand, [t], [float(self.edges[k])])[0])
         return partial + float(self.suffix[k + 1]) + self.tail_end
+
+
+def _nu_integral(P: float, e: float, num, den: Weight, nu: DiscreteMeasure, grid: GeometricGrid):
+    """(integral of B against nu, whether B is +inf past the last edge) for
+    the branch formula's B, with N and D the integrals of num (a step
+    function or a weight) and den over (0, s]:
+
+      P <= 1:  B(t) = sup_{s>t} N(s)/D(s)^e
+      P > 1:   B(t) = (integral_t^inf (N/D)^{P'} dD)^{1/P'},  P' = P/(P-1)
+
+    The edges are the grid's and num's and den's breakpoints, with nu's atoms
+    past the origin for the sup, whose tie at 0+ is read at ``_HEAD_PROBES``
+    scaled below the first edge; the integral has the closed tail past the
+    support of a numerator constant there."""
+    if P <= 1.0:
+        edges = _merged_edges(grid, num, den, nu=nu)
+        sup = _suffix_sup(_Ratio(num, den, e), edges, _HEAD_PROBES * min(1.0, float(edges[0])))
+        return nu.integrate(sup), not math.isfinite(sup(_INF))
+    Pp = P / (P - 1.0)
+    inner = _Ratio(num, den).suffix_integral(Pp, den, _merged_edges(grid, num, den), P)
+    return nu.integrate(lambda t: inner(max(t, 0.0)) ** (1.0 / Pp)), inner.tail_end == _INF
 
 
 class _PowerOfCumulative:
@@ -372,8 +425,7 @@ def a1_constant(problem: HardyProblem) -> float:
     if len(nu) == 0 and nu.tail is None:
         return 0.0
     q = problem.q
-    sup = _suffix_sup(_Ratio(problem.w, problem.u, q), _merged_edges(problem.grid, nu=nu), _HEAD_PROBES)
-    return nu.integrate(sup) ** (1.0 / q)
+    return _nu_integral(1.0 / q, q, problem.w, problem.u, nu, problem.grid)[0] ** (1.0 / q)
 
 
 class ZetaFn:
@@ -386,7 +438,7 @@ class ZetaFn:
         q = problem.q
         self.expo = q / (1.0 - q)
         w = problem.w
-        self.edges = _merged_edges(problem.grid, getattr(w, "fn", None))
+        self.edges = _merged_edges(problem.grid, w)
         # inner_integral(t): integral over (t, infinity) of (W/U)^(q/(1-q)) w
         self.inner_integral = _Ratio(w, problem.u).suffix_integral(self.expo, w, self.edges)
         self.tail_divergent = self.inner_integral.tail_end == _INF
@@ -417,23 +469,18 @@ def a2_constant(problem: HardyProblem, with_flags: bool = False):
     if problem.q >= 1.0:
         raise BranchMismatch("A(2) requires 0 < q < 1")
     z = ZetaFn(problem)
-    q = problem.q
-    flags = {"origin_atom_at_t_min": False, "tail_divergent": z.tail_divergent}
-    total = 0.0
-    for t, m in zip(problem.nu.locations, problem.nu.masses):
-        t = float(t)
-        if t == 0.0:
-            t = problem.grid.t_min
-            flags["origin_atom_at_t_min"] = True
+    q, nu = problem.q, problem.nu
+    flags = {
+        "origin_atom_at_t_min": bool(len(nu) and nu.locations[0] == 0.0),
+        "tail_divergent": z.tail_divergent,
+    }
+
+    def ratio(t: float) -> float:
+        t = t or problem.grid.t_min
         zv = z(t)
-        if zv == _INF:
-            total = _INF
-            break
-        total += float(m) * zv / problem.u.cumulative(0.0, t) ** q
-    if problem.nu.tail is not None and total != _INF:
-        total += problem.nu.tail_integral(
-            lambda s: z(s) / problem.u.cumulative(0.0, s) ** q
-        )
+        return _INF if zv == _INF else zv / problem.u.cumulative(0.0, t) ** q
+
+    total = nu.integrate(ratio)
     value = total ** (1.0 / q) if total != _INF else _INF
     return (value, flags) if with_flags else value
 
@@ -491,9 +538,8 @@ def lhs_rhs(problem: HardyProblem, f) -> tuple[float, float]:
 class Zeta1Fn:
     """zeta1(t) = Psi_p(t) * (integral over (t,inf) of (s f**/Psi_p^p)^{p'} psi^p)^{1/p'}.
 
-    The specialization with w = f*, U = Psi_p^p, q = 1/p.  Exact closed-form
-    tail beyond the support of f* (the integrand has antiderivative
-    proportional to F^{p'} Phi^{1-p'} there).
+    The specialization with w = f*, U = Psi_p^p, q = 1/p; past the support
+    of f* the inner integral is the closed tail of ``_Ratio.suffix_integral``.
     """
 
     def __init__(
@@ -505,39 +551,21 @@ class Zeta1Fn:
     ):
         if not p > 1.0:
             raise BranchMismatch("zeta1 requires 1 < p < infinity")
-        self.fn = _rearranged(f)
+        self.fn = fn = _rearranged(f)
+        if fn.right_value > 0.0:
+            raise NonRearrangeable(
+                "zeta1 requires compactly supported f* (zero right tail)"
+            )
         self.psi = psi
         self.p = float(p)
         self.pp = p / (p - 1.0)
         self.profile = WeightProfile(psi, p)
         self.density = self.profile.density  # psi^p as a Weight
         self.grid = grid
-        fn = self.fn
-        self.supp_end = float(fn.breakpoints[-1]) if len(fn.values) else 0.0
-        if fn.right_value > 0.0:
-            raise NonRearrangeable(
-                "zeta1 requires compactly supported f* (zero right tail)"
-            )
-        self.F_inf = cumulative_eval(fn, self.supp_end) if self.supp_end else 0.0
-        edges = _merged_edges(grid, fn)
-        edges = edges[edges <= self.supp_end]
-        self.edges = edges if len(edges) else np.asarray([self.supp_end])
-
-        self.phi_inf = self.profile.big_p_inf()
-        integrand = _Ratio(fn, self.density).integrand(self.pp, self.density)
-        self.inner_integral = _SuffixIntegral(integrand, self.edges, self._closed_tail)
-
-    def _closed_tail(self, t: float) -> float:
-        """Exact integral over (t, inf) for t at/after the support end of f*."""
-        if self.F_inf == 0.0:
-            return 0.0
-        p, pp = self.p, self.pp
-        phi_t = self.profile.big_p(t)
-        if phi_t <= 0.0:
-            return _INF
-        head = phi_t ** (1.0 - pp)
-        tail = self.phi_inf ** (1.0 - pp) if self.phi_inf != _INF else 0.0
-        return (p - 1.0) * self.F_inf**pp * (head - tail)
+        ratio = _Ratio(fn, self.density)
+        edges = _merged_edges(grid, fn, self.density)
+        self.inner_integral = ratio.suffix_integral(self.pp, self.density, edges, self.p)
+        self.edges = self.inner_integral.edges  # cut at the support end of f*
 
     def __call__(self, t: float) -> float:
         t = float(t)
@@ -606,10 +634,11 @@ def parts_identity_sides(
     F_t = cumulative_eval(fn, t)
     Phi_t = density.cumulative(0.0, t)
     boundary = -(F_t**pp) * Phi_t ** (-e) if F_t > 0.0 else 0.0
-    if z1.phi_inf == _INF:
+    phi_inf = z1.profile.big_p_inf()
+    if phi_inf == _INF:
         at_inf = 0.0
     else:
-        at_inf = z1.F_inf**pp * z1.phi_inf ** (-e)
+        at_inf = cumulative_eval(fn, float(z1.edges[-1])) ** pp * phi_inf ** (-e)
     rhs = (boundary + at_inf + e * z1.inner_integral(t)) / pp
     return lhs, rhs
 

@@ -50,13 +50,16 @@ def power_integral(alpha: float, lo: float, hi: float) -> float:
     ap1 = alpha + 1.0
     if lo == 0.0 and ap1 <= 0.0:
         raise NonIntegrableNearZero(f"t^{alpha} is not integrable near 0")
-    if hi == _INF:
-        if ap1 >= 0.0:
-            return _INF
-        return -(lo ** ap1) / ap1
+    if hi == _INF and ap1 >= 0.0:
+        return _INF
     if ap1 == 0.0:
         return math.log(hi / lo)
-    return (hi ** ap1 - lo ** ap1) / ap1
+    try:
+        if hi == _INF:
+            return -(lo ** ap1) / ap1
+        return (hi ** ap1 - lo ** ap1) / ap1
+    except OverflowError:  # a power past the float range: the integral is +inf
+        return _INF
 
 
 # Gauss-Legendre nodes and weights of order 20 on [-1, 1], equal bit for bit

@@ -6,12 +6,14 @@ an import made lazily inside a function is checked in a child interpreter.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.special import roots_legendre
 
 import lorentzlab
@@ -52,3 +54,17 @@ def test_fit_measure_imports_its_solver_on_first_use():
     data = json.loads(proc.stdout)
     assert data["command"] == "fit-measure"
     assert data["fit_report"]["details"]["sup_log_ratio"] <= 1e-9
+
+
+def test_a_truncated_w_embedding_takes_its_tail_in_closed_form_without_mpmath():
+    # psi = phi = 1, w = chi(0, 0.37], p = 4, q = 2: the reduced exponent is 2,
+    # and past w's support the tail of (W/s)^2 is 0.37^2 / 0.37, so the
+    # criterion is (0.37 + 0.37)^(1/2) exactly; no quadrature reaches infinity
+    code = (
+        "import sys; from lorentzlab import Power, Tabulated, embedding_criterion, indicator; "
+        "r = embedding_criterion(4.0, 2.0, Power(0.0), Power(0.0), Tabulated(indicator(0.0, 0.37))); "
+        "print(repr(r.criterion_value), 'mpmath' in sys.modules)"
+    )
+    value, loaded = _child(code).stdout.split()
+    assert float(value) == pytest.approx(math.sqrt(0.74), rel=1e-14, abs=0.0)
+    assert loaded == "False"

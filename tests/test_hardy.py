@@ -1,7 +1,9 @@
 """Reverse Hardy-type constants, the zeta comparison chain, and the verifier."""
 
+import bisect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from lorentzlab.hardy import (
     Zeta1Fn,
     _gl_cells,
     _limit,
+    _merged_edges,
     _Ratio,
     _SuffixIntegral,
     a1_constant,
@@ -301,6 +304,75 @@ class TestBatchedPanels:
         assert got.tolist() == want
         assert got[1] == 0.0 and got[2] == 0.0
         assert _gl_cells(fn, [], []).tolist() == []
+
+
+def _mp_weight(den):
+    """(density, D) of den as functions of an mpf s, with D(s) the integral of
+    the density over (0, s] in closed form, at the working precision."""
+    if isinstance(den, (Power, PowerLog)):
+        alpha, beta = mpmath.mpf(den.alpha), mpmath.mpf(getattr(den, "beta", 0.0))
+        lam = alpha + 1
+        if isinstance(den, Power):
+            return (lambda s: s**alpha), (lambda s: s**lam / lam)
+
+        def head(s):  # the integral over (0, s], s <= 1, by the incomplete gamma
+            return mpmath.e**lam * lam ** -(beta + 1) * mpmath.gammainc(beta + 1, lam * (1 - mpmath.log(s)))
+
+        at_one = head(mpmath.mpf(1))
+        density = lambda s: s**alpha * (1 + max(-mpmath.log(s), 0)) ** beta  # noqa: E731
+        return density, (lambda s: head(s) if s <= 1 else at_one + (s**lam - 1) / lam)
+    fn = den.fn
+    rights = [mpmath.mpf(b) for b in fn.breakpoints]
+    lefts = [mpmath.mpf(0)] + rights
+    values = [mpmath.mpf(v) for v in fn.values] + [mpmath.mpf(fn.right_value)]
+    cum = [mpmath.mpf(0)]
+    for a, b, v in zip(lefts, rights, values):
+        cum.append(cum[-1] + v * (b - a))
+    cell = lambda s: bisect.bisect_left(rights, s)  # noqa: E731  (s in (lefts[k], rights[k]])
+    return (lambda s: values[cell(s)]), (lambda s: cum[cell(s)] + values[cell(s)] * (s - lefts[cell(s)]))
+
+
+def _closed_tail_reference(f, den, Pp, t):
+    """integral over (t, inf) of (F(T)/D(s))^Pp den(s) ds to 40 digits, for t
+    at or past the support end T of the step function f: mpmath.quad in s,
+    split at 1 and at den's breakpoints, with D from its own closed form."""
+    with mpmath.workdps(40):
+        bp = [mpmath.mpf(b) for b in f.breakpoints]
+        F_T = mpmath.fsum(mpmath.mpf(v) * (b - a) for a, b, v in zip([0] + bp[:-1], bp, f.values))
+        density, D = _mp_weight(den)
+        fn = getattr(den, "fn", None)
+        cuts = [1.0] if fn is None else fn.breakpoints.tolist()
+        end = [mpmath.inf] if fn is None or fn.right_value > 0 else []
+        pieces = [mpmath.mpf(t)] + [mpmath.mpf(c) for c in cuts if c > t] + end
+        if len(pieces) < 2:
+            return 0.0
+        return float(mpmath.quad(lambda s: (F_T / D(s)) ** Pp * density(s), pieces))
+
+
+class TestClosedTail:
+    """Past the support end T of a step numerator over its own denominator,
+    ``_Ratio.suffix_integral`` takes the tail in closed form."""
+
+    denominators = [
+        Power(0.2),
+        Power(-0.5),
+        PowerLog(0.0, 1.0),
+        PowerLog(-0.5, 2.0),
+        Tabulated(PiecewiseFn([0.3, 2.0, 7.0], [3.0, 1.0, 0.5], right_value=0.25)),
+        Tabulated(PiecewiseFn([0.5, 40.0], [2.0, 1.0])),
+    ]
+
+    @pytest.mark.parametrize("P", [1.5, 2.5])
+    @pytest.mark.parametrize("den", denominators, ids=lambda w: w.kind)
+    def test_matches_the_40_digit_quadrature_on_and_past_the_support_end(self, den, P):
+        Pp = P / (P - 1.0)
+        for f in decreasing_corpus(2, seed=21):
+            T = float(f.breakpoints[-1])
+            inner = _Ratio(f, den).suffix_integral(Pp, den, _merged_edges(DEFAULT_GRID, f, den), P)
+            assert inner.edges[-1] == T  # the edges stop at the support end
+            for t in (T, 3.0 * T):
+                want = _closed_tail_reference(f, den, Pp, t)
+                assert inner(t) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestLimitRule:

@@ -151,3 +151,47 @@ def test_no_public_function_passes_options_through():
         if bad:
             found[path.name] = bad
     assert found == {}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not _public(name)
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants of the modules in
+    ``sources`` (module name -> source) that no module reads: neither the
+    defining module by name, nor another one through ``from .module import``
+    (which the unused-import scan then requires to be used), as 'module.name'."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined.extend((module, n) for n in names if _private(n))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                used.update((node.module, alias.name) for alias in node.names)
+    return sorted(f"{m}.{n}" for m, n in defined if (m, n) not in used)
+
+
+def test_the_scan_sees_an_unreferenced_private_name():
+    sources = {
+        "a": "_K = 1\n_UNUSED = 2\ndef _f(): return _K\ndef _g(): pass\nclass _C: pass\n",
+        "b": "from .a import _g\n_g()\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._C", "a._UNUSED", "a._f"]
+
+
+def test_every_private_module_level_name_is_referenced():
+    # a private helper that nothing calls is a leftover of an old path, such
+    # as a wrapper whose callers moved to the kernel it wrapped
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []

@@ -41,6 +41,15 @@ class TestPowerIntegral:
         with pytest.raises(InvertedInterval):
             power_integral(1.0, 2.0, 1.0)
 
+    def test_a_power_past_the_float_range_is_infinite(self):
+        # hi^5 at hi = 1e300 and lo^-2 at lo = 1e-300 overflow a float; each
+        # integral is +inf, as the numpy kinds give
+        assert power_integral(4.0, 1.0, 1e300) == math.inf
+        assert power_integral(-3.0, 1e-300, 1.0) == math.inf
+        assert power_integral(-3.0, 1e-300, math.inf) == math.inf
+        assert Power(4.0).cumulative(1.0, 1e300) == math.inf
+        assert power_integral(4.0, 1.0, 1e60) == pytest.approx(2e299, rel=1e-15)
+
 
 class TestPower:
     def test_pointwise_and_cumulative(self):
